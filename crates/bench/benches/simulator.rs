@@ -150,8 +150,11 @@ fn bench_all_to_all() {
             }
         }
         let mut completions = 0usize;
+        let mut done = Vec::new();
         while let Some(t) = net.next_event_time() {
-            completions += net.advance_to(t).len();
+            done.clear();
+            net.advance_to_into(t, &mut done);
+            completions += done.len();
         }
         assert_eq!(completions, nodes * (nodes - 1));
     });

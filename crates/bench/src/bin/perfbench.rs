@@ -253,8 +253,11 @@ fn bench_all_to_all(nodes: usize, _quick: bool) -> Json {
     }
     let mut steps: u64 = 0;
     let mut completions: u64 = 0;
+    let mut done = Vec::new();
     while let Some(t) = net.next_event_time() {
-        completions += net.advance_to(t).len() as u64;
+        done.clear();
+        net.advance_to_into(t, &mut done);
+        completions += done.len() as u64;
         steps += 1;
     }
     let wall = start.elapsed().as_secs_f64();
@@ -306,8 +309,11 @@ fn bench_rack_shuffle(nodes: usize, racks: usize, factor: f64, quick: bool) -> J
     let flows = tag;
     let mut steps: u64 = 0;
     let mut completions: u64 = 0;
+    let mut done = Vec::new();
     while let Some(t) = net.next_event_time() {
-        completions += net.advance_to(t).len() as u64;
+        done.clear();
+        net.advance_to_into(t, &mut done);
+        completions += done.len() as u64;
         steps += 1;
     }
     let wall = start.elapsed().as_secs_f64();

@@ -304,6 +304,7 @@ mod tests {
     use crate::bench::MicroBenchmark;
     use crate::config::BenchConfig;
     use crate::runner::run;
+    use crate::sweep::SweepOptions;
     use simcore::units::ByteSize;
     use simnet::Interconnect;
 
@@ -319,7 +320,7 @@ mod tests {
     fn artifact_round_trips_and_tabulates() {
         let sizes = [ByteSize::from_mib(64)];
         let ics = [Interconnect::GigE1, Interconnect::RdmaFdr];
-        let sweep = Sweep::run_grid_serial(&sizes, &ics, tiny).unwrap();
+        let sweep = Sweep::run_grid_with(&sizes, &ics, tiny, &SweepOptions::default()).unwrap();
         let single = run(&tiny(ByteSize::from_mib(64), Interconnect::GigE1)).unwrap();
 
         let mut art = Artifacts::new("unit");

@@ -1,13 +1,15 @@
 //! Parameter sweeps: run a family of configurations and tabulate job
 //! execution times, as every figure in the paper does.
 //!
-//! [`Sweep::run_grid`] farms cells out across OS threads. Each cell is
-//! an independent simulation — it builds its own engine, RNG streams,
-//! and monitors from the config seed — so parallel execution produces
-//! **bit-identical** per-cell results to the serial path
-//! ([`Sweep::run_grid_serial`]), in the same row-major order. The
-//! thread count comes from the `MRBENCH_THREADS` environment variable
-//! when set, else from [`std::thread::available_parallelism`].
+//! [`Sweep::run_grid_with`] is the one grid runner: it farms cells out
+//! across OS threads, optionally through a [`ResultStore`] and a
+//! cancellation hook ([`SweepOptions`]). Each cell is an independent
+//! simulation — it builds its own engine, RNG streams, and monitors from
+//! the config seed — so parallel execution produces **bit-identical**
+//! per-cell results to running each config through [`run`] one after
+//! another, in the same row-major order. The default thread count comes
+//! from the `MRBENCH_THREADS` environment variable when set, else from
+//! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -15,7 +17,6 @@ use std::sync::Mutex;
 use simcore::units::ByteSize;
 use simnet::Interconnect;
 
-use crate::bench::MicroBenchmark;
 use crate::config::BenchConfig;
 use crate::error::Error;
 use crate::report::BenchReport;
@@ -92,9 +93,9 @@ pub struct Sweep {
     pub cells: Vec<SweepCell>,
 }
 
-/// Worker-thread count for [`Sweep::run_grid`]: the `MRBENCH_THREADS`
-/// environment variable when set to a positive integer, else the
-/// machine's available parallelism.
+/// Default worker-thread count for [`Sweep::run_grid_with`]: the
+/// `MRBENCH_THREADS` environment variable when set to a positive integer,
+/// else the machine's available parallelism.
 fn worker_threads() -> usize {
     if let Ok(v) = std::env::var("MRBENCH_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -105,40 +106,15 @@ fn worker_threads() -> usize {
 }
 
 impl Sweep {
-    /// Run the grid, farming cells across threads. `make` builds the
-    /// config for one (size, interconnect) pair, letting callers fix
-    /// every other parameter.
+    /// Run the grid: worker threads, an optional content-addressed
+    /// [`ResultStore`] for crash-safe resume, and an optional
+    /// cancellation hook (the bench harness wires a wall-clock deadline
+    /// through it). `make` builds the config for one (size,
+    /// interconnect) pair, letting callers fix every other parameter.
     ///
-    /// Cells land in row-major order and each is bit-identical to what
-    /// [`Sweep::run_grid_serial`] produces: a cell simulation is a pure
-    /// function of its config, sharing no mutable state with its
-    /// neighbours.
-    pub fn run_grid(
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-        make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
-    ) -> Result<Sweep, Error> {
-        Sweep::run_grid_with(sizes, interconnects, make, &SweepOptions::default())
-    }
-
-    /// [`Sweep::run_grid`] with an explicit worker count.
-    pub fn run_grid_with_threads(
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-        make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
-        threads: usize,
-    ) -> Result<Sweep, Error> {
-        let opts = SweepOptions {
-            threads,
-            ..SweepOptions::default()
-        };
-        Sweep::run_grid_with(sizes, interconnects, make, &opts)
-    }
-
-    /// The fully-optioned grid runner: worker threads, an optional
-    /// content-addressed [`ResultStore`] for crash-safe resume, and an
-    /// optional cancellation hook (the bench harness wires a wall-clock
-    /// deadline through it).
+    /// Cells land in row-major order, and each is bit-identical at every
+    /// thread count: a cell simulation is a pure function of its config,
+    /// sharing no mutable state with its neighbours.
     pub fn run_grid_with(
         sizes: &[ByteSize],
         interconnects: &[Interconnect],
@@ -217,42 +193,6 @@ impl Sweep {
         })
     }
 
-    /// Run the grid on the calling thread, one cell at a time. The
-    /// reference semantics for [`Sweep::run_grid`].
-    pub fn run_grid_serial(
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-        make: impl Fn(ByteSize, Interconnect) -> BenchConfig,
-    ) -> Result<Sweep, Error> {
-        let mut cells = Vec::with_capacity(sizes.len() * interconnects.len());
-        for &shuffle in sizes {
-            for &ic in interconnects {
-                let report = run(&make(shuffle, ic))?;
-                cells.push(SweepCell {
-                    shuffle,
-                    interconnect: ic,
-                    report,
-                });
-            }
-        }
-        Ok(Sweep {
-            sizes: sizes.to_vec(),
-            interconnects: interconnects.to_vec(),
-            cells,
-        })
-    }
-
-    /// Convenience: the paper's Cluster A grid for one benchmark.
-    pub fn cluster_a(
-        benchmark: MicroBenchmark,
-        sizes: &[ByteSize],
-        interconnects: &[Interconnect],
-    ) -> Result<Sweep, Error> {
-        Sweep::run_grid(sizes, interconnects, |shuffle, ic| {
-            BenchConfig::cluster_a_default(benchmark, ic, shuffle)
-        })
-    }
-
     /// The cell at (`shuffle`, `ic`), located by row-major index — O(grid
     /// edge), not O(cells), so `table()` stays linear in the cell count.
     pub fn cell(&self, shuffle: ByteSize, ic: Interconnect) -> Option<&SweepCell> {
@@ -320,6 +260,15 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::MicroBenchmark;
+
+    fn grid(
+        sizes: &[ByteSize],
+        ics: &[Interconnect],
+        make: impl Fn(ByteSize, Interconnect) -> BenchConfig + Sync,
+    ) -> Sweep {
+        Sweep::run_grid_with(sizes, ics, make, &SweepOptions::default()).unwrap()
+    }
 
     fn tiny(shuffle: ByteSize, ic: Interconnect) -> BenchConfig {
         let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
@@ -333,7 +282,7 @@ mod tests {
     fn grid_runs_and_tabulates() {
         let sizes = [ByteSize::from_mib(128), ByteSize::from_mib(256)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
-        let sweep = Sweep::run_grid(&sizes, &ics, tiny).unwrap();
+        let sweep = grid(&sizes, &ics, tiny);
         assert_eq!(sweep.cells.len(), 4);
         for &s in &sizes {
             for &ic in &ics {
@@ -358,18 +307,28 @@ mod tests {
     fn parallel_grid_is_bit_identical_to_serial() {
         let sizes = [ByteSize::from_mib(64), ByteSize::from_mib(128)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
-        let serial = Sweep::run_grid_serial(&sizes, &ics, tiny).unwrap();
-        let parallel = Sweep::run_grid_with_threads(&sizes, &ics, tiny, 4).unwrap();
-        assert_eq!(serial.cells.len(), parallel.cells.len());
-        for (s, p) in serial.cells.iter().zip(&parallel.cells) {
+        // The oracle: every cell run one after another on this thread.
+        let mut serial = Vec::new();
+        for &shuffle in &sizes {
+            for &ic in &ics {
+                serial.push((shuffle, ic, run(&tiny(shuffle, ic)).unwrap()));
+            }
+        }
+        let opts = SweepOptions {
+            threads: 4,
+            ..SweepOptions::default()
+        };
+        let parallel = Sweep::run_grid_with(&sizes, &ics, tiny, &opts).unwrap();
+        assert_eq!(serial.len(), parallel.cells.len());
+        for ((shuffle, ic, report), p) in serial.iter().zip(&parallel.cells) {
             // Same row-major cell order...
-            assert_eq!(s.shuffle, p.shuffle);
-            assert_eq!(s.interconnect, p.interconnect);
+            assert_eq!(*shuffle, p.shuffle);
+            assert_eq!(*ic, p.interconnect);
             // ...and bit-identical results: the JSON encoding is exact
             // (nanosecond times, shortest-round-trip floats), so equal
             // text means equal results down to the last sample.
             assert_eq!(
-                s.report.result.to_json().to_compact(),
+                report.result.to_json().to_compact(),
                 p.report.result.to_json().to_compact()
             );
         }
@@ -379,7 +338,7 @@ mod tests {
     fn failed_cells_yield_none_not_division_by_zero() {
         let sizes = [ByteSize::from_mib(64)];
         let ics = [Interconnect::GigE1, Interconnect::IpoibQdr];
-        let sweep = Sweep::run_grid_serial(&sizes, &ics, |shuffle, ic| {
+        let sweep = grid(&sizes, &ics, |shuffle, ic| {
             let mut c = tiny(shuffle, ic);
             if ic == Interconnect::GigE1 {
                 // Every attempt dies: the 1GigE cell aborts.
@@ -387,8 +346,7 @@ mod tests {
                 c.max_attempts = 2;
             }
             c
-        })
-        .unwrap();
+        });
         assert!(!sweep.cells[0].report.result.succeeded());
         assert_eq!(sweep.time(sizes[0], Interconnect::GigE1), None);
         assert!(sweep.time(sizes[0], Interconnect::IpoibQdr).is_some());

@@ -1073,11 +1073,6 @@ pub fn run_job(
     Engine::new(spec, factory, node_spec, n_slaves, interconnect).run()
 }
 
-/// The engine kind actually used by a conf (re-exported for reports).
-pub fn engine_label(kind: EngineKind) -> &'static str {
-    kind.label()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

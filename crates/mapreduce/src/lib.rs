@@ -8,12 +8,13 @@
 //! * [`ifile`] — the intermediate file format (vint framing, EOF marker,
 //!   CRC-32) whose byte counts drive all simulated I/O and network volume.
 //! * [`conf`] — `JobConf` with the `mapred-site.xml` knobs that matter.
-//! * [`formats`] — `NullInputFormat` / `NullOutputFormat` for stand-alone
-//!   operation.
 //! * [`partition`] — the `Partitioner` contract and `HashPartitioner`.
 //! * [`costs`] — the calibrated CPU cost model.
 //! * `task` (internal) — map and reduce task state machines
-//!   (sort/spill/merge, fetch pipelines).
+//!   (sort/spill/merge, fetch pipelines). Maps synthesize their records
+//!   in memory, as Hadoop's `NullInputFormat` does; reduce output is
+//!   discarded like `NullOutputFormat` unless
+//!   [`job::JobSpec::output_write_amplification`] asks for a local write.
 //! * [`shuffle`] — map-output registry, page-cache model, and the
 //!   RDMA/MRoIB shuffle engine model.
 //! * [`schedule`] — MRv1 slot and YARN container scheduling.
@@ -31,7 +32,6 @@ pub mod costs;
 pub mod counters;
 pub mod engine;
 pub mod faults;
-pub mod formats;
 pub mod ifile;
 pub mod io;
 pub mod job;

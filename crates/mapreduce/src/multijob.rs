@@ -25,8 +25,9 @@
 //! bit-identically every time — the determinism contract the rest of the
 //! repo enforces.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
+use simcore::event::EventQueue;
 use simcore::jobj;
 use simcore::json::Json;
 use simcore::rng::SeedFactory;
@@ -234,35 +235,13 @@ struct JobState {
     next_reduce: usize,
 }
 
+/// Same-instant events fire in scheduling order ([`EventQueue`]'s FIFO
+/// tie-break): every arrival is scheduled up front, so an arrival always
+/// precedes a task completion at the same instant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EventKind {
+enum Event {
     Arrive { job: usize },
     TaskDone { job: usize, tenant: usize },
-}
-
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first, with the
-        // insertion sequence as a deterministic tie-break.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Map task `m` of job `j` runs here. The stride spreads a job's tasks
@@ -351,15 +330,9 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
     // queued task of its current phase.
     let mut runnable: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_tenants];
 
-    let mut events = BinaryHeap::with_capacity(spec.n_jobs * 2);
-    let mut seq: u64 = 0;
+    let mut events = EventQueue::with_capacity(spec.n_jobs * 2);
     for (j, job) in jobs.iter().enumerate() {
-        events.push(Event {
-            at: job.arrival,
-            seq,
-            kind: EventKind::Arrive { job: j },
-        });
-        seq += 1;
+        events.schedule(job.arrival, Event::Arrive { job: j });
     }
 
     let per_flow = ByteSize::from_bytes(
@@ -379,8 +352,7 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
                  running: &mut Vec<usize>,
                  runnable: &mut Vec<VecDeque<usize>>,
                  jobs: &mut Vec<JobState>,
-                 events: &mut BinaryHeap<Event>,
-                 seq: &mut u64| {
+                 events: &mut EventQueue<Event>| {
         while *free_slots > 0 {
             let mut best: Option<usize> = None;
             for t in 0..n_tenants {
@@ -417,17 +389,15 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
             };
             *free_slots -= 1;
             running[t] += 1;
-            events.push(Event {
-                at: now + SimDuration::from_secs_f64(service),
-                seq: *seq,
-                kind: EventKind::TaskDone { job: j, tenant: t },
-            });
-            *seq += 1;
+            events.schedule(
+                now + SimDuration::from_secs_f64(service),
+                Event::TaskDone { job: j, tenant: t },
+            );
         }
     };
 
     while completed < spec.n_jobs {
-        let t_ev = events.peek().map(|e| e.at);
+        let t_ev = events.peek_time();
         let t_net = net.next_event_time();
         // At equal instants the network settles first, so a shuffle that
         // finishes exactly when a task ends can enqueue its reduces
@@ -464,28 +434,25 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
                     &mut runnable,
                     &mut jobs,
                     &mut events,
-                    &mut seq,
                 );
             }
             continue;
         }
-        let ev = match events.pop() {
-            Some(ev) => ev,
-            None => panic!(
+        let Some((now, ev)) = events.pop() else {
+            panic!(
                 "multijob deadlock: {completed}/{} jobs done, no events, no flows",
                 spec.n_jobs
-            ),
+            )
         };
-        let now = ev.at;
-        match ev.kind {
-            EventKind::Arrive { job: j } => {
+        match ev {
+            Event::Arrive { job: j } => {
                 let job = &mut jobs[j];
                 job.outstanding = spec.maps_per_job;
                 for _ in 0..spec.maps_per_job {
                     runnable[job.tenant].push_back(j);
                 }
             }
-            EventKind::TaskDone { job: j, tenant } => {
+            Event::TaskDone { job: j, tenant } => {
                 free_slots += 1;
                 running[tenant] -= 1;
                 let job = &mut jobs[j];
@@ -523,7 +490,6 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
             &mut runnable,
             &mut jobs,
             &mut events,
-            &mut seq,
         );
     }
 
@@ -727,6 +693,32 @@ mod tests {
             assert_eq!(t.p50_s.to_bits(), t.p95_s.to_bits(), "{t:?}");
             assert_eq!(t.p95_s.to_bits(), t.p99_s.to_bits(), "{t:?}");
         }
+    }
+
+    #[test]
+    fn same_instant_ties_keep_their_exact_output() {
+        // Repeated trace offsets and 1 ns map tasks make arrivals and task
+        // completions collide at t = 0 and t = 1 ns, on two slots, so the
+        // output depends on the (time, FIFO) tie-break. The expected
+        // string pins that order bit for bit.
+        let mut s = spec(Topology::single_switch(2, Interconnect::GigE1));
+        s.tenants[1].weight = 2.0;
+        s.n_jobs = 6;
+        s.arrivals = ArrivalProcess::Trace(vec![0.0, 0.0, 0.0, 1e-9, 1e-9, 1e-9]);
+        s.slots_per_node = 1;
+        s.maps_per_job = 2;
+        s.reduces_per_job = 2;
+        s.shuffle_bytes_per_job = ByteSize::from_kib(64);
+        s.map_service_s = 1e-9;
+        s.reduce_service_s = 0.5;
+        s.seed = 7;
+        assert_eq!(
+            run(&s).to_json().to_compact(),
+            "{\"makespan_s\":3.010643599,\"jobs_completed\":6,\"shuffled_bytes\":393216,\
+             \"tenants\":[{\"tenant\":\"alpha\",\"jobs\":3,\"p50_s\":1.474787281,\
+             \"p95_s\":2.467272404,\"p99_s\":2.467272404},{\"tenant\":\"beta\",\"jobs\":3,\
+             \"p50_s\":2.522707694,\"p95_s\":3.010643598,\"p99_s\":3.010643598}]}"
+        );
     }
 
     #[test]

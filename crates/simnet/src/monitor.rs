@@ -108,17 +108,13 @@ mod tests {
             ByteSize::from_mib(560),
             0,
         );
-        loop {
+        let mut done = Vec::new();
+        while done.is_empty() {
             let sample_at = mon.next_sample_time();
             match net.next_event_time() {
-                Some(t) if t <= sample_at => {
-                    let done = net.advance_to(t);
-                    if !done.is_empty() {
-                        break;
-                    }
-                }
+                Some(t) if t <= sample_at => net.advance_to_into(t, &mut done),
                 _ => {
-                    net.advance_to(sample_at);
+                    net.advance_to_into(sample_at, &mut done);
                     mon.maybe_sample(sample_at, &mut net);
                 }
             }
@@ -158,25 +154,20 @@ mod tests {
         let mut mon = NetworkMonitor::new(2, SimDuration::from_secs(1));
         let total = ByteSize::from_mib(280);
         net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), total, 0);
-        let end;
-        loop {
+        let mut done = Vec::new();
+        while done.is_empty() {
             let sample_at = mon.next_sample_time();
             match net.next_event_time() {
-                Some(t) if t <= sample_at => {
-                    let done = net.advance_to(t);
-                    if !done.is_empty() {
-                        end = t;
-                        break;
-                    }
-                }
+                Some(t) if t <= sample_at => net.advance_to_into(t, &mut done),
                 _ => {
-                    net.advance_to(sample_at);
+                    net.advance_to_into(sample_at, &mut done);
                     mon.maybe_sample(sample_at, &mut net);
                 }
             }
         }
+        let end = net.now();
         // The flow must end mid-interval for this test to bite.
-        assert!(end.as_nanos() % 1_000_000_000 != 0, "end {end:?}");
+        assert!(!end.as_nanos().is_multiple_of(1_000_000_000), "end {end:?}");
         let before = integrated_bytes(mon.rx_series(NodeId(1)));
         let len_before = mon.rx_series(NodeId(1)).len();
         mon.flush(end, &mut net);
@@ -200,9 +191,10 @@ mod tests {
     fn flush_on_tick_boundary_adds_no_sample() {
         let mut net = Network::new(Topology::single_switch(2, Interconnect::GigE1));
         let mut mon = NetworkMonitor::new(2, SimDuration::from_secs(1));
+        let mut done = Vec::new();
         for t in [1, 2] {
             let at = SimTime::from_secs(t);
-            net.advance_to(at);
+            net.advance_to_into(at, &mut done);
             mon.maybe_sample(at, &mut net);
         }
         mon.flush(SimTime::from_secs(2), &mut net);

@@ -61,7 +61,7 @@ struct FlowSlot {
     key: Option<FlowKey>,
 }
 
-/// A finished transfer, as reported by [`Network::advance_to`].
+/// A finished transfer, as reported by [`Network::advance_to_into`].
 #[derive(Clone, Copy, Debug)]
 pub struct FlowCompletion {
     /// The flow that finished.
@@ -201,7 +201,11 @@ impl Network {
     ) -> FlowId {
         assert!(self.topology.contains(src), "unknown src {src}");
         assert!(self.topology.contains(dst), "unknown dst {dst}");
-        self.integrate_to(now);
+        // At the current instant there is nothing to settle, which keeps
+        // starting a flow O(1) when many start at once.
+        if now != self.clock {
+            self.integrate_to(now);
+        }
 
         let latency = if src == dst {
             SimDuration::ZERO
@@ -276,7 +280,7 @@ impl Network {
     pub fn next_event_time(&self) -> Option<SimTime> {
         // The latent queue is in activation order, so its head is the
         // earliest activation; it is always >= the clock (earlier
-        // activations were consumed by `advance_to`).
+        // activations were consumed by `advance_to_into`).
         let latent_at = self
             .latent
             .front()
@@ -317,57 +321,15 @@ impl Network {
         }
     }
 
-    /// Advance the network clock to `now`, returning every transfer that
-    /// completed at or before `now` (in deterministic flow-id order).
+    /// Advance the network clock to `now`, appending every transfer that
+    /// completed at or before `now` to `out` (in deterministic flow-id
+    /// order). `out` is caller-owned so the event loop allocates nothing.
     ///
     /// The caller must not skip past events: `now` should be at most
     /// [`Network::next_event_time`]. Skipping only loses precision, never
     /// panics.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<FlowCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(now, &mut out);
-        out
-    }
-
-    /// [`Network::advance_to`], but appending completions to a
-    /// caller-owned buffer — the allocation-free form the engine's event
-    /// loop uses.
     pub fn advance_to_into(&mut self, now: SimTime, out: &mut Vec<FlowCompletion>) {
-        assert!(now >= self.clock, "network clock cannot run backwards");
-        let dt = now.since(self.clock).as_secs_f64();
-
-        // One fused pass: settle every active flow's remaining bytes and
-        // collect the ones at (or below) the completion threshold.
-        // `order` is id-sorted, so completions come out in flow-id order
-        // by construction.
-        self.completed_scratch.clear();
-        if dt > 0.0 {
-            for &s in &self.order {
-                let s = s as usize;
-                if self.active[s] {
-                    let rate = self.rate_bps[s];
-                    let rem = (self.remaining[s] - rate * dt).max(0.0);
-                    self.remaining[s] = rem;
-                    if rem <= completion_eps(rate) {
-                        self.completed_scratch.push(s as u32);
-                    }
-                }
-            }
-        } else {
-            for &s in &self.order {
-                let s = s as usize;
-                if self.active[s] && self.remaining[s] <= completion_eps(self.rate_bps[s]) {
-                    self.completed_scratch.push(s as u32);
-                }
-            }
-        }
-        for ri in &mut self.node_tx {
-            ri.advance(now);
-        }
-        for ri in &mut self.node_rx {
-            ri.advance(now);
-        }
-        self.clock = now;
+        self.integrate_to(now);
 
         // Activations: pop the FIFO while due.
         let mut activated = 0usize;
@@ -446,15 +408,26 @@ impl Network {
         self.node_tx[node.0].drain(now)
     }
 
+    /// The one integration pass: move the clock to `now`, settle every
+    /// active flow's remaining bytes, and collect the flows now at (or
+    /// below) the completion threshold into `completed_scratch`. `order`
+    /// is id-sorted, so they come out in flow-id order by construction.
+    /// Counts one work unit per alive flow whenever time moves.
     fn integrate_to(&mut self, now: SimTime) {
         assert!(now >= self.clock, "network clock cannot run backwards");
         let dt = now.since(self.clock).as_secs_f64();
         if dt > 0.0 {
             self.work_units += self.order.len() as u64;
-            for &s in &self.order {
-                let s = s as usize;
-                if self.active[s] {
-                    self.remaining[s] = (self.remaining[s] - self.rate_bps[s] * dt).max(0.0);
+        }
+        self.completed_scratch.clear();
+        for &s in &self.order {
+            let s = s as usize;
+            if self.active[s] {
+                let rate = self.rate_bps[s];
+                let rem = (self.remaining[s] - rate * dt).max(0.0);
+                self.remaining[s] = rem;
+                if rem <= completion_eps(rate) {
+                    self.completed_scratch.push(s as u32);
                 }
             }
         }
@@ -584,13 +557,11 @@ mod tests {
             1,
         );
         // Step through the latency activations until the first completion.
-        let done = loop {
+        let mut done = Vec::new();
+        while done.is_empty() {
             let t = n.next_event_time().unwrap();
-            let done = n.advance_to(t);
-            if !done.is_empty() {
-                break done;
-            }
-        };
+            n.advance_to_into(t, &mut done);
+        }
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 1);
         // Rebalanced: remaining flow now runs at the full ceiling.
@@ -687,6 +658,28 @@ mod tests {
     }
 
     #[test]
+    fn work_units_count_every_integration_pass() {
+        // Flow A (0 -> 2) starts at t = 0; flow B (1 -> 2) at 10 us, while
+        // A is still in its 55 us latency phase. Both are 1 MiB into node
+        // 2, so they share its ingress once both are active. Work is one
+        // unit per alive flow whenever the clock moves, plus solver
+        // freezes (one per registered flow) and rate changes per solve:
+        //   start B at 10 us:      integrate {A}              1
+        //   A activates at 55 us:  integrate {A,B} + solve 1+1  4
+        //   B activates at 65 us:  integrate {A,B} + solve 2+2  6
+        //   A completes:           integrate {A,B} + solve 1+1  4
+        //   B completes:           integrate {B}   + solve 0+0  1
+        let mut n = net(3, Interconnect::GigE1);
+        let mib = ByteSize::from_mib(1);
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), mib, 0);
+        n.start_flow(SimTime::from_nanos(10_000), NodeId(1), NodeId(2), mib, 1);
+        assert_eq!(n.work_units(), 1);
+        let done = n.run_to_idle();
+        assert_eq!(done.iter().map(|c| c.tag).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(n.work_units(), 16);
+    }
+
+    #[test]
     fn deterministic_across_runs() {
         let run = || {
             let mut n = net(4, Interconnect::IpoibQdr);
@@ -708,7 +701,7 @@ mod tests {
     #[test]
     fn simultaneous_completions_report_in_flow_id_order() {
         // Regression for the flows-map migration to the slab: identical
-        // flows all complete at the same instant, and `advance_to` must
+        // flows all complete at the same instant, and `advance_to_into` must
         // report them in flow-id order — slot indexes get recycled, so
         // scanning in slot order would report recycled slots too early.
         // Start flows in scrambled src order so insertion order != node

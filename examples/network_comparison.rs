@@ -11,7 +11,7 @@
 //! improvement each upgrade buys.
 
 use hadoop_mr_microbench::mrbench::{
-    BenchConfig, Interconnect, MicroBenchmark, ShuffleEngineKind, Sweep,
+    BenchConfig, Interconnect, MicroBenchmark, ShuffleEngineKind, Sweep, SweepOptions,
 };
 use hadoop_mr_microbench::simcore::units::ByteSize;
 
@@ -25,15 +25,16 @@ fn main() {
         Interconnect::RdmaFdr,
     ];
 
-    let sweep = Sweep::run_grid(&sizes, &networks, |shuffle, ic| {
+    let make = |shuffle, ic| {
         let mut c = BenchConfig::cluster_a_default(MicroBenchmark::Avg, ic, shuffle);
         if ic == Interconnect::RdmaFdr {
             // Native IB needs the RDMA-enhanced shuffle engine.
             c.shuffle_engine = ShuffleEngineKind::Rdma;
         }
         c
-    })
-    .expect("valid configs");
+    };
+    let sweep = Sweep::run_grid_with(&sizes, &networks, make, &SweepOptions::default())
+        .expect("valid configs");
 
     print!(
         "{}",

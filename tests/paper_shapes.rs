@@ -4,7 +4,9 @@
 //! the suite stays fast under `cargo test`; the full-size sweeps live in
 //! the `fig2`..`fig8` binaries.
 
-use hadoop_mr_microbench::mrbench::{run, BenchConfig, Interconnect, MicroBenchmark, Sweep};
+use hadoop_mr_microbench::mrbench::{
+    run, BenchConfig, Interconnect, MicroBenchmark, Sweep, SweepOptions,
+};
 use hadoop_mr_microbench::simcore::units::ByteSize;
 
 const NETWORKS: [Interconnect; 3] = [
@@ -13,10 +15,21 @@ const NETWORKS: [Interconnect; 3] = [
     Interconnect::IpoibQdr,
 ];
 
+/// The paper's Cluster A grid for one benchmark.
+fn cluster_a(bench: MicroBenchmark, sizes: &[ByteSize], ics: &[Interconnect]) -> Sweep {
+    Sweep::run_grid_with(
+        sizes,
+        ics,
+        |shuffle, ic| BenchConfig::cluster_a_default(bench, ic, shuffle),
+        &SweepOptions::default(),
+    )
+    .unwrap()
+}
+
 #[test]
 fn network_ordering_holds_for_avg_and_rand() {
     for bench in [MicroBenchmark::Avg, MicroBenchmark::Rand] {
-        let sweep = Sweep::cluster_a(bench, &[ByteSize::from_gib(8)], &NETWORKS).unwrap();
+        let sweep = cluster_a(bench, &[ByteSize::from_gib(8)], &NETWORKS);
         let t1 = sweep
             .time(ByteSize::from_gib(8), Interconnect::GigE1)
             .unwrap();
@@ -39,8 +52,8 @@ fn network_ordering_holds_for_avg_and_rand() {
 #[test]
 fn skew_roughly_doubles_job_time() {
     let at = ByteSize::from_gib(8);
-    let avg = Sweep::cluster_a(MicroBenchmark::Avg, &[at], &[Interconnect::IpoibQdr]).unwrap();
-    let skew = Sweep::cluster_a(MicroBenchmark::Skew, &[at], &[Interconnect::IpoibQdr]).unwrap();
+    let avg = cluster_a(MicroBenchmark::Avg, &[at], &[Interconnect::IpoibQdr]);
+    let skew = cluster_a(MicroBenchmark::Skew, &[at], &[Interconnect::IpoibQdr]);
     let factor = skew.time(at, Interconnect::IpoibQdr).unwrap()
         / avg.time(at, Interconnect::IpoibQdr).unwrap();
     assert!(

@@ -14,15 +14,11 @@
 //!     [--reduces N] [--shuffle-mb MB] [--mean-gap SECS] [--seed N]
 //! ```
 
-// Wall-clock timing reports how fast the host ran the (deterministic)
-// workload; simulated results never vary with it.
-#![allow(clippy::disallowed_methods)]
-
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mapreduce::multijob::{self, ArrivalProcess, MultiJobSpec, TenantSpec};
 use mrbench::{atomic_write, Error};
+use mrbench_bench::wall_now;
 use simcore::jobj;
 use simcore::json::Json;
 use simcore::units::ByteSize;
@@ -122,7 +118,9 @@ fn real_main() -> Result<(), Error> {
     };
     spec.validate().map_err(Error::Config)?;
 
-    let start = Instant::now();
+    // Wall time reports how fast the host ran the (deterministic)
+    // workload; simulated results never vary with it.
+    let start = wall_now();
     let result = multijob::run(&spec);
     let wall_s = start.elapsed().as_secs_f64();
 

@@ -300,11 +300,11 @@ impl Harness {
 }
 
 /// The one sanctioned wall-clock read in the workspace: `--deadline`
-/// bounds *real* runtime, which simulated time cannot measure. The
-/// simulator crates stay banned from it (simlint + clippy
-/// disallowed-methods).
+/// bounds *real* runtime, and `multijob` reports how long the host took,
+/// neither of which simulated time can measure. The simulator crates
+/// stay banned from it (simlint + clippy disallowed-methods).
 #[allow(clippy::disallowed_methods)]
-fn wall_now() -> Instant {
+pub fn wall_now() -> Instant {
     Instant::now()
 }
 

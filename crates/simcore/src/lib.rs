@@ -9,8 +9,8 @@
 //!   `java.util.Random` (the paper's MR-RAND partitioner depends on its
 //!   semantics).
 //! * [`units`] — byte sizes and data rates with Hadoop's unit conventions.
-//! * [`stats`] — online statistics, histograms, time series, and rate
-//!   integration for resource-utilization reporting.
+//! * [`stats`] — time series and rate integration for
+//!   resource-utilization reporting.
 //! * [`json`] — a dependency-free JSON value model backing the
 //!   machine-readable benchmark artifacts.
 //! * [`order`] — total ordering for floats (`f64::total_cmp` wrappers),
@@ -35,7 +35,7 @@ pub use event::{EventId, EventQueue};
 pub use json::Json;
 pub use order::{total_sort, TotalF64};
 pub use rng::{JavaRandom, SeedFactory, SplitMix64, Xoshiro256pp};
-pub use stats::{Histogram, OnlineStats, RateIntegrator, Sample, TimeSeries};
+pub use stats::{RateIntegrator, Sample, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Mark, PhaseAgg, PhaseBreakdown, Span, Trace};
 pub use units::{ByteSize, Rate, GIB, KIB, MIB};

@@ -1,189 +1,12 @@
-//! Online statistics, histograms, and time-series sampling.
+//! Time-series sampling and rate integration.
 //!
 //! The micro-benchmark suite reports more than a single job time: it prints
-//! resource-utilization series (paper Fig. 7) and distribution summaries of
-//! per-task timings. These containers are deliberately allocation-light so
-//! they can be updated from hot simulator paths.
-
-use std::fmt;
+//! resource-utilization series (paper Fig. 7). These containers are
+//! deliberately allocation-light so they can be updated from hot simulator
+//! paths.
 
 use crate::json::Json;
 use crate::time::SimTime;
-
-/// Welford online mean/variance plus min/max.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
-impl fmt::Display for OnlineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.n == 0 {
-            return write!(f, "n=0");
-        }
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.n,
-            self.mean(),
-            self.stddev(),
-            self.min,
-            self.max
-        )
-    }
-}
-
-/// A fixed-width-bucket histogram over `[lo, hi)`, with overflow/underflow
-/// buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram with `n` equal buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of in-range buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Underflow (below `lo`) count.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Overflow (at or above `hi`) count.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile `q` in `[0,1]` from bucket midpoints.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target && self.underflow > 0 {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo + (i as f64 + 0.5) * width);
-            }
-        }
-        Some(self.hi)
-    }
-}
 
 /// One `(time, value)` sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -332,55 +155,6 @@ impl RateIntegrator {
 mod tests {
     use super::*;
     use crate::time::SimTime;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(format!("{s}"), "n=0");
-    }
-
-    #[test]
-    fn histogram_counts_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        for i in 0..10 {
-            assert_eq!(h.bucket(i), 1);
-        }
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 49.5).abs() <= 1.0, "median={median}");
-        assert_eq!(Histogram::new(0.0, 1.0, 2).quantile(0.5), None);
-    }
 
     #[test]
     fn time_series() {

@@ -59,12 +59,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Milliseconds since the epoch, as a float.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
     /// Time elapsed since `earlier`. Panics in debug builds if `earlier`
     /// is in the future.
     #[inline]
@@ -126,12 +120,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Milliseconds as a float.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
     /// True if the span is zero.

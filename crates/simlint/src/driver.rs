@@ -297,11 +297,6 @@ pub fn workspace_report(root: &Path) -> std::io::Result<LintReport> {
     Ok(lint_sources(&sources))
 }
 
-/// Lint the whole workspace rooted at `root` (diagnostics only).
-pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diag>> {
-    Ok(workspace_report(root)?.diags)
-}
-
 /// Render a full lint report as JSON: schema marker, rule inventory,
 /// diagnostics, and the allow inventory. Every array is pre-sorted, so
 /// two runs over the same tree are bit-identical.

@@ -10,17 +10,18 @@
 //!
 //! Two implementations share the same arithmetic:
 //!
-//! * [`max_min_rates`] / [`max_min_rates_racked`] — the batch reference.
-//!   Allocates fresh buffers and recounts resource membership on every
-//!   call; kept as the test oracle.
-//! * [`FairshareSolver`] — the incremental hot-path solver the network
-//!   engine uses. It maintains per-resource membership lists and reusable
+//! * [`FairshareSolver`] — the incremental solver the network engine
+//!   uses. It maintains per-resource membership lists and reusable
 //!   scratch buffers across calls, so a flow arrival or departure is O(1)
 //!   bookkeeping and each re-solve touches only the bottleneck sets
 //!   (resources and the flows frozen at them) instead of rescanning every
-//!   flow per round. The freeze order — and therefore every floating-point
-//!   operation — is identical to the batch solver's, so both produce
-//!   bit-identical rates.
+//!   flow per round.
+//! * `max_min_rates` / `max_min_rates_racked` — the batch reference,
+//!   compiled only for this crate's unit tests. It allocates fresh
+//!   buffers and recounts resource membership on every call. The
+//!   incremental solver's freeze order — and therefore every
+//!   floating-point operation — is identical to it, and the unit tests
+//!   bit-compare the two after every solve.
 //!
 //! Resource layout: `[0, n)` egress, `[n, 2n)` ingress, then (when a rack
 //! layer is present) `[2n, 2n+R)` rack uplinks (egress direction) and
@@ -72,9 +73,10 @@ fn rate_floor_for(max_cap: f64) -> f64 {
 /// Flows with `src == dst` must be filtered out by the caller (loopback
 /// does not cross the fabric).
 ///
-/// This is the batch reference implementation (and test oracle for
-/// [`FairshareSolver`]); the network hot path uses the incremental solver.
-pub fn max_min_rates(
+/// This is the batch reference implementation and test oracle for
+/// [`FairshareSolver`]; the network hot path uses the incremental solver.
+#[cfg(test)]
+pub(crate) fn max_min_rates(
     flows: &[FlowSpec],
     egress: &[f64],
     ingress: &[f64],
@@ -86,7 +88,8 @@ pub fn max_min_rates(
 /// [`max_min_rates`] with an optional rack layer (see the module docs for
 /// the resource layout). With `racks: None` this performs the exact same
 /// floating-point operations as the flat solver.
-pub fn max_min_rates_racked(
+#[cfg(test)]
+pub(crate) fn max_min_rates_racked(
     flows: &[FlowSpec],
     egress: &[f64],
     ingress: &[f64],
@@ -227,7 +230,7 @@ pub fn max_min_rates_racked(
 /// not exceed capacity beyond float tolerance plus the floor overshoot
 /// (flows frozen at the floor can collectively exceed a capacity that
 /// itself drifted to ~0).
-#[cfg(debug_assertions)]
+#[cfg(all(test, debug_assertions))]
 fn assert_feasible(
     flows: &[FlowSpec],
     egress: &[f64],
@@ -310,7 +313,7 @@ pub struct FairshareSolver {
     rack_of: Vec<usize>,
     /// Fabric resource index, or `usize::MAX` when absent.
     fabric_res: usize,
-    /// Static per-resource capacities, layout as in [`max_min_rates_racked`].
+    /// Static per-resource capacities, layout as in the module docs.
     capacity: Vec<f64>,
     rate_floor_bps: f64,
 
@@ -350,14 +353,13 @@ pub struct FairshareSolver {
 }
 
 impl FairshareSolver {
-    /// A solver over flat-crossbar capacities (same layout as
-    /// [`max_min_rates`]).
+    /// A solver over flat-crossbar capacities.
     pub fn new(egress: &[f64], ingress: &[f64], fabric: Option<f64>) -> Self {
         Self::with_racks(egress, ingress, None, fabric)
     }
 
-    /// A solver with an optional rack layer (same layout as
-    /// [`max_min_rates_racked`]).
+    /// A solver with an optional rack layer (resource layout as in the
+    /// module docs).
     pub fn with_racks(
         egress: &[f64],
         ingress: &[f64],
@@ -575,8 +577,8 @@ impl FairshareSolver {
 
     /// Recompute the max-min fixed point for the current flow set.
     ///
-    /// Bit-identical to [`max_min_rates_racked`] over the same flows in
-    /// arrival order: the per-resource membership lists are kept in
+    /// Bit-identical to the batch `max_min_rates_racked` over the same
+    /// flows in arrival order: the per-resource membership lists are kept in
     /// arrival order, so bottleneck freezing performs the identical
     /// sequence of floating-point operations — it just skips the
     /// per-round scan of every unrelated flow.

@@ -19,9 +19,7 @@ pub mod network;
 pub mod protocol;
 pub mod topology;
 
-pub use fairshare::{
-    max_min_rates, max_min_rates_racked, FairshareSolver, FlowKey, FlowSpec, RackCaps,
-};
+pub use fairshare::{FairshareSolver, FlowKey, FlowSpec, RackCaps};
 pub use monitor::NetworkMonitor;
 pub use network::{FlowCompletion, FlowId, Network};
 pub use protocol::{Interconnect, ProtocolModel};

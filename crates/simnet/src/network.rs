@@ -153,12 +153,6 @@ impl Network {
         }
     }
 
-    /// Override the loopback copy rate (tests, calibration). Affects
-    /// flows started after the call.
-    pub fn set_loopback_rate(&mut self, rate: Rate) {
-        self.loopback = rate;
-    }
-
     /// The topology this network runs over.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -385,11 +379,6 @@ impl Network {
         if activated > 0 || removed > 0 {
             self.resolve_rates();
         }
-    }
-
-    /// Instantaneous receive rate at `node`.
-    pub fn rx_rate(&self, node: NodeId) -> Rate {
-        Rate::from_bytes_per_sec(self.node_rx[node.0].rate().max(0.0))
     }
 
     /// Instantaneous transmit rate at `node`.

@@ -4,8 +4,21 @@
 use simcore::rng::SplitMix64;
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
-use simnet::fairshare::{max_min_rates, FlowSpec};
+use simnet::fairshare::{FairshareSolver, FlowSpec};
 use simnet::{Interconnect, Network, NodeId, Topology};
+
+/// Max-min rates for `flows` (in order) from the production solver, with
+/// `caps` as both the egress and the ingress capacities.
+fn solve_rates(flows: &[FlowSpec], caps: &[f64], fabric: Option<f64>) -> Vec<f64> {
+    let mut solver = FairshareSolver::new(caps, caps, fabric);
+    let keys: Vec<_> = flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| solver.add_flow(*f, i as u64))
+        .collect();
+    solver.solve();
+    keys.iter().map(|&k| solver.rate(k)).collect()
+}
 
 /// Draw between 1 and 23 random (src, dst) flows over `n_nodes`, src != dst.
 fn gen_flows(rng: &mut SplitMix64, n_nodes: usize) -> Vec<FlowSpec> {
@@ -26,7 +39,7 @@ fn fairshare_feasible() {
     for _ in 0..128 {
         let flows = gen_flows(&mut rng, 6);
         let caps: Vec<f64> = (0..6).map(|_| 1.0 + rng.next_f64() * 1999.0).collect();
-        let rates = max_min_rates(&flows, &caps, &caps, None);
+        let rates = solve_rates(&flows, &caps, None);
         let mut eg = [0.0; 6];
         let mut ing = [0.0; 6];
         for (f, r) in flows.iter().zip(&rates) {
@@ -49,7 +62,7 @@ fn fairshare_work_conserving() {
     for _ in 0..128 {
         let flows = gen_flows(&mut rng, 5);
         let caps = vec![100.0; 5];
-        let rates = max_min_rates(&flows, &caps, &caps, None);
+        let rates = solve_rates(&flows, &caps, None);
         let mut eg = [0.0; 5];
         let mut ing = [0.0; 5];
         for (f, r) in flows.iter().zip(&rates) {
@@ -71,7 +84,7 @@ fn fairshare_fabric_cap() {
         let flows = gen_flows(&mut rng, 4);
         let cap = 1.0 + rng.next_f64() * 499.0;
         let caps = vec![1000.0; 4];
-        let rates = max_min_rates(&flows, &caps, &caps, Some(cap));
+        let rates = solve_rates(&flows, &caps, Some(cap));
         let total: f64 = rates.iter().sum();
         assert!(
             total <= cap * (1.0 + 1e-9) + 1e-9,

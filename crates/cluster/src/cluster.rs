@@ -1,10 +1,7 @@
 //! Cluster assembly: a set of identical nodes plus their simulators.
 
-use simcore::time::SimDuration;
-
 use crate::cpu::CpuSim;
 use crate::disk::DiskSim;
-use crate::monitor::CpuMonitor;
 use crate::node::NodeSpec;
 
 /// Which of the paper's two testbeds a cluster models.
@@ -26,8 +23,7 @@ impl ClusterPreset {
     }
 }
 
-/// A homogeneous cluster of slave nodes with CPU and disk simulators and a
-/// CPU-utilization monitor.
+/// A homogeneous cluster of slave nodes with CPU and disk simulators.
 ///
 /// Node indices are *slave* indices: the master (JobTracker /
 /// ResourceManager) is modelled as control-plane latency, not a simulated
@@ -40,8 +36,6 @@ pub struct Cluster {
     pub cpu: CpuSim,
     /// FIFO disk queues for every slave.
     pub disk: DiskSim,
-    /// CPU monitor; 1 Hz by default, see [`Cluster::set_monitor_interval`].
-    pub cpu_monitor: CpuMonitor,
 }
 
 impl Cluster {
@@ -51,25 +45,17 @@ impl Cluster {
         let cpu = CpuSim::homogeneous(n_slaves, spec.cores, spec.speed);
         let mut disk = DiskSim::new(vec![spec.disks.clone(); n_slaves]);
         disk.enable_page_cache(spec.memory);
-        let cpu_monitor = CpuMonitor::new(n_slaves, SimDuration::from_secs(1));
         Cluster {
             spec,
             n_slaves,
             cpu,
             disk,
-            cpu_monitor,
         }
     }
 
     /// Build from a paper preset.
     pub fn preset(preset: ClusterPreset, n_slaves: usize) -> Self {
         Cluster::new(preset.node_spec(), n_slaves)
-    }
-
-    /// Replace the CPU monitor's sampling interval. Call before the
-    /// simulation starts: any samples already taken are discarded.
-    pub fn set_monitor_interval(&mut self, interval: SimDuration) {
-        self.cpu_monitor = CpuMonitor::new(self.n_slaves, interval);
     }
 
     /// Number of slave nodes.

@@ -18,21 +18,6 @@ use std::collections::BTreeMap;
 use simcore::stats::RateIntegrator;
 use simcore::time::{SimDuration, SimTime};
 
-/// Handle to a unit of queued CPU work.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CpuJobId(u64);
-
-/// A finished CPU job, reported by [`CpuSim::advance_to`].
-#[derive(Clone, Copy, Debug)]
-pub struct CpuCompletion {
-    /// The finished job.
-    pub id: CpuJobId,
-    /// Node it ran on.
-    pub node: usize,
-    /// Caller-supplied correlation tag.
-    pub tag: u64,
-}
-
 #[derive(Clone, Debug)]
 struct Job {
     node: usize,
@@ -88,7 +73,7 @@ impl CpuSim {
     }
 
     /// Queue `work` core-seconds (baseline-normalized) on `node`.
-    pub fn submit(&mut self, now: SimTime, node: usize, work: f64, tag: u64) -> CpuJobId {
+    pub fn submit(&mut self, now: SimTime, node: usize, work: f64, tag: u64) {
         assert!(node < self.cores.len(), "unknown node {node}");
         assert!(work >= 0.0 && work.is_finite(), "work must be non-negative");
         self.integrate_to(now);
@@ -105,7 +90,6 @@ impl CpuSim {
         );
         self.runnable_per_node[node] += 1;
         self.recompute(now);
-        CpuJobId(id)
     }
 
     /// The earliest job completion, if any work is queued.
@@ -126,8 +110,9 @@ impl CpuSim {
         best
     }
 
-    /// Advance to `now`, returning completions in deterministic id order.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<CpuCompletion> {
+    /// Advance to `now`, returning the tags of finished jobs in
+    /// deterministic submission order.
+    pub fn advance_to(&mut self, now: SimTime) -> Vec<u64> {
         self.integrate_to(now);
         // BTreeMap iteration is job-id ordered, so `done` is sorted by
         // construction.
@@ -141,11 +126,7 @@ impl CpuSim {
         for id in done {
             let j = self.jobs.remove(&id).expect("job exists");
             self.runnable_per_node[j.node] -= 1;
-            out.push(CpuCompletion {
-                id: CpuJobId(id),
-                node: j.node,
-                tag: j.tag,
-            });
+            out.push(j.tag);
         }
         if !out.is_empty() {
             self.recompute(now);
@@ -154,6 +135,7 @@ impl CpuSim {
     }
 
     /// Instantaneous utilization of `node` in percent (0..=100).
+    #[cfg(test)]
     pub fn utilization_pct(&self, node: usize) -> f64 {
         let busy = (self.runnable_per_node[node] as f64).min(self.cores[node] as f64);
         busy / self.cores[node] as f64 * 100.0
@@ -223,8 +205,7 @@ mod tests {
         let t = cpu.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 3.0).abs() < 1e-6);
         let done = cpu.advance_to(t);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 42);
+        assert_eq!(done, vec![42]);
     }
 
     #[test]
@@ -270,11 +251,11 @@ mod tests {
         let t1 = cpu.next_event_time().unwrap();
         assert!((t1.as_secs_f64() - 2.0).abs() < 1e-6);
         let d1 = cpu.advance_to(t1);
-        assert_eq!(d1[0].tag, 0);
+        assert_eq!(d1, vec![0]);
         let t2 = cpu.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 4.0).abs() < 1e-6, "{t2:?}");
         let d2 = cpu.advance_to(t2);
-        assert_eq!(d2[0].tag, 1);
+        assert_eq!(d2, vec![1]);
         assert!(cpu.next_event_time().is_none());
     }
 
@@ -323,14 +304,11 @@ mod tests {
             }
             let t = cpu.next_event_time().unwrap();
             cpu.advance_to(t)
-                .iter()
-                .map(|c| (c.node, c.tag))
-                .collect::<Vec<_>>()
         };
         let a = run();
         assert_eq!(a, run());
         // Submission order, not node order.
-        assert_eq!(a, vec![(3, 9), (0, 4), (2, 7), (1, 1), (0, 0)]);
+        assert_eq!(a, vec![9, 4, 7, 1, 0]);
     }
 
     #[test]

@@ -32,10 +32,6 @@ use simcore::units::ByteSize;
 
 use crate::node::DiskSpec;
 
-/// Handle to a queued disk request.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct IoId(u64);
-
 /// Read or write.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IoKind {
@@ -43,17 +39,6 @@ pub enum IoKind {
     Read,
     /// Sequential write.
     Write,
-}
-
-/// A finished I/O, reported by [`DiskSim::advance_to`].
-#[derive(Clone, Copy, Debug)]
-pub struct IoCompletion {
-    /// The finished request.
-    pub id: IoId,
-    /// Node whose disk served it.
-    pub node: usize,
-    /// Caller-supplied correlation tag.
-    pub tag: u64,
 }
 
 /// Memory-copy service rate for page-cache hits.
@@ -68,7 +53,6 @@ struct Request {
     id: u64,
     service: SimDuration,
     tag: u64,
-    node: usize,
     /// Nonzero for background write-back: occupies the spindle but emits
     /// no external completion; frees dirty budget instead.
     writeback_bytes: u64,
@@ -122,8 +106,9 @@ pub struct DiskSim {
     clock: SimTime,
     /// Per-node page-cache state (None until configured).
     caches: Vec<Option<NodeCache>>,
-    /// Pending cache-lane completions, ordered by (time, id).
-    cache_lane: VecDeque<(SimTime, u64, IoCompletion)>,
+    /// Pending cache-lane completions `(time, id, tag)`, ordered by
+    /// (time, id).
+    cache_lane: VecDeque<(SimTime, u64, u64)>,
 }
 
 impl DiskSim {
@@ -191,17 +176,10 @@ impl DiskSim {
 
     /// Submit `bytes` of `kind` I/O on `node` directly to the spindles
     /// (no page-cache involvement), striping round-robin over its disks.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        bytes: ByteSize,
-        kind: IoKind,
-        tag: u64,
-    ) -> IoId {
+    pub fn submit(&mut self, now: SimTime, node: usize, bytes: ByteSize, kind: IoKind, tag: u64) {
         assert!(node < self.disks.len(), "unknown node {node}");
         self.clock = self.clock.max(now);
-        self.enqueue_fg(now, node, bytes, kind, tag)
+        self.enqueue_fg(now, node, bytes, kind, tag);
     }
 
     fn pick_disk(&mut self, node: usize) -> usize {
@@ -210,14 +188,7 @@ impl DiskSim {
         k
     }
 
-    fn enqueue_fg(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        bytes: ByteSize,
-        kind: IoKind,
-        tag: u64,
-    ) -> IoId {
+    fn enqueue_fg(&mut self, now: SimTime, node: usize, bytes: ByteSize, kind: IoKind, tag: u64) {
         let k = self.pick_disk(node);
         let disk = &mut self.disks[node][k];
         let bw = match kind {
@@ -237,11 +208,9 @@ impl DiskSim {
             id,
             service,
             tag,
-            node,
             writeback_bytes: 0,
         });
         disk.start_next(now);
-        IoId(id)
     }
 
     fn enqueue_writeback(&mut self, now: SimTime, node: usize, bytes: u64) {
@@ -260,33 +229,22 @@ impl DiskSim {
                 id,
                 service,
                 tag: 0,
-                node,
                 writeback_bytes: chunk,
             });
             disk.start_next(now);
         }
     }
 
-    fn lane_completion(&mut self, now: SimTime, node: usize, bytes: u64, tag: u64) -> IoId {
+    fn lane_completion(&mut self, now: SimTime, bytes: u64, tag: u64) {
         let id = self.next_id;
         self.next_id += 1;
         let done = now + SimDuration::from_secs_f64(bytes as f64 / MEMCPY_BYTES_PER_SEC);
-        let entry = (
-            done,
-            id,
-            IoCompletion {
-                id: IoId(id),
-                node,
-                tag,
-            },
-        );
         let pos = self
             .cache_lane
             .iter()
             .position(|(t, i, _)| (*t, *i) > (done, id))
             .unwrap_or(self.cache_lane.len());
-        self.cache_lane.insert(pos, entry);
-        IoId(id)
+        self.cache_lane.insert(pos, (done, id, tag));
     }
 
     /// Submit I/O that targets recently written local data (spills,
@@ -299,7 +257,7 @@ impl DiskSim {
         bytes: ByteSize,
         kind: IoKind,
         tag: u64,
-    ) -> IoId {
+    ) {
         assert!(node < self.disks.len(), "unknown node {node}");
         self.clock = self.clock.max(now);
         if self.caches[node].is_none() {
@@ -320,17 +278,17 @@ impl DiskSim {
                 if throttled > 0 {
                     // The writer stalls for the over-budget portion, like
                     // balance_dirty_pages().
-                    self.enqueue_fg(now, node, ByteSize::from_bytes(throttled), kind, tag)
+                    self.enqueue_fg(now, node, ByteSize::from_bytes(throttled), kind, tag);
                 } else {
-                    self.lane_completion(now, node, b, tag)
+                    self.lane_completion(now, b, tag);
                 }
             }
             IoKind::Read => {
                 let cache = self.caches[node].as_ref().expect("checked above");
                 if cache.resident >= b as f64 {
-                    self.lane_completion(now, node, b, tag)
+                    self.lane_completion(now, b, tag);
                 } else {
-                    self.enqueue_fg(now, node, bytes, kind, tag)
+                    self.enqueue_fg(now, node, bytes, kind, tag);
                 }
             }
         }
@@ -381,17 +339,18 @@ impl DiskSim {
         }
     }
 
-    /// Advance to `now`, returning completions (deterministic id order).
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<IoCompletion> {
+    /// Advance to `now`, returning the tags of finished I/Os in
+    /// deterministic submission order.
+    pub fn advance_to(&mut self, now: SimTime) -> Vec<u64> {
         assert!(now >= self.clock, "disk clock cannot run backwards");
         self.clock = now;
         let mut out = Vec::new();
-        while let Some((t, id, c)) = self.cache_lane.front().copied() {
+        while let Some((t, id, tag)) = self.cache_lane.front().copied() {
             if t > now {
                 break;
             }
             self.cache_lane.pop_front();
-            out.push((id, c));
+            out.push((id, tag));
         }
         for (node, node_disks) in self.disks.iter_mut().enumerate() {
             for disk in node_disks {
@@ -405,14 +364,7 @@ impl DiskSim {
                             cache.dirty = (cache.dirty - req.writeback_bytes as f64).max(0.0);
                         }
                     } else {
-                        out.push((
-                            req.id,
-                            IoCompletion {
-                                id: IoId(req.id),
-                                node: req.node,
-                                tag: req.tag,
-                            },
-                        ));
+                        out.push((req.id, req.tag));
                     }
                     // Serve the next request (foreground first) from the
                     // instant this one finished.
@@ -424,16 +376,18 @@ impl DiskSim {
             }
         }
         out.sort_unstable_by_key(|(id, _)| *id);
-        out.into_iter().map(|(_, c)| c).collect()
+        out.into_iter().map(|(_, tag)| tag).collect()
     }
 
     /// Total bytes read on `node` so far.
+    #[cfg(test)]
     pub fn bytes_read(&self, node: usize) -> u64 {
         self.disks[node].iter().map(|d| d.read_bytes).sum()
     }
 
     /// Total bytes written on `node` so far (including background
     /// write-back that has been queued and not cancelled).
+    #[cfg(test)]
     pub fn bytes_written(&self, node: usize) -> u64 {
         self.disks[node].iter().map(|d| d.written_bytes).sum()
     }
@@ -460,7 +414,7 @@ mod tests {
         }
     }
 
-    fn drain(d: &mut DiskSim) -> Vec<IoCompletion> {
+    fn drain(d: &mut DiskSim) -> Vec<u64> {
         let mut all = Vec::new();
         while let Some(t) = d.next_event_time() {
             all.extend(d.advance_to(t));
@@ -480,9 +434,7 @@ mod tests {
         );
         let t = d.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 1.01).abs() < 1e-6, "{t:?}");
-        let done = d.advance_to(t);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 1);
+        assert_eq!(d.advance_to(t), vec![1]);
         assert!(d.next_event_time().is_none());
     }
 
@@ -505,10 +457,10 @@ mod tests {
         );
         let t1 = d.next_event_time().unwrap();
         assert!((t1.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(d.advance_to(t1)[0].tag, 1);
+        assert_eq!(d.advance_to(t1), vec![1]);
         let t2 = d.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 2.0).abs() < 1e-6);
-        assert_eq!(d.advance_to(t2)[0].tag, 2);
+        assert_eq!(d.advance_to(t2), vec![2]);
     }
 
     #[test]
@@ -528,10 +480,11 @@ mod tests {
             IoKind::Write,
             2,
         );
-        // Parallel service on two spindles: both done at t=1.
+        // Parallel service on two spindles: both done at t=1, reported
+        // in submission order.
         let t = d.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(d.advance_to(t).len(), 2);
+        assert_eq!(d.advance_to(t), vec![1, 2]);
     }
 
     #[test]
@@ -590,9 +543,7 @@ mod tests {
         // External completion long before the 1 s the spindle would take.
         let t = d.next_event_time().unwrap();
         assert!(t.as_secs_f64() < 0.05, "cache-lane completion at {t:?}");
-        let done = d.advance_to(t);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 7);
+        assert_eq!(d.advance_to(t), vec![7]);
         // Write-back still occupies the spindle afterwards.
         assert!(d.next_event_time().is_some());
         let rest = drain(&mut d);
@@ -632,8 +583,8 @@ mod tests {
         // (64 MiB), not the full gigabyte.
         let mut read_done = None;
         while let Some(t) = d.next_event_time() {
-            for c in d.advance_to(t) {
-                if c.tag == 2 {
+            for tag in d.advance_to(t) {
+                if tag == 2 {
                     read_done = Some(t);
                 }
             }
@@ -663,7 +614,7 @@ mod tests {
             }
             seen.extend(d.advance_to(t));
         }
-        assert!(seen.iter().any(|c| c.tag == 2), "read served from cache");
+        assert!(seen.contains(&2), "read served from cache");
     }
 
     #[test]

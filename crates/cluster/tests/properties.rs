@@ -93,9 +93,7 @@ fn disk_fifo_order() {
         }
         let mut seen = Vec::new();
         while let Some(t) = d.next_event_time() {
-            for c in d.advance_to(t) {
-                seen.push(c.tag);
-            }
+            seen.extend(d.advance_to(t));
         }
         let expect: Vec<u64> = (0..n as u64).collect();
         assert_eq!(seen, expect);

@@ -1,13 +1,10 @@
-//! Pluggable evaluation backends.
+//! The two evaluation backends, selected by [`BenchConfig::backend`]:
 //!
-//! A [`Backend`] turns a validated [`BenchConfig`] into a
-//! [`BenchReport`]. Two implementations ship:
-//!
-//! * [`DesBackend`] — the discrete-event simulator
+//! * **DES** — the discrete-event simulator
 //!   ([`mapreduce::engine`]). Per-event fidelity: fault injection,
 //!   speculation, fetch backpressure, page-cache dynamics. The default,
 //!   and the ground truth the other backend is validated against.
-//! * [`AnalyticBackend`] — the closed-form cost model
+//! * **Analytic** — the closed-form cost model
 //!   ([`mapreduce::analytic`]). O(maps + reduces) arithmetic per job;
 //!   use it to scout large sweeps, then confirm the interesting cells
 //!   with the DES. It refuses configs whose features it cannot model
@@ -15,118 +12,14 @@
 //!   them.
 //!
 //! Both run behind the same entry point — [`crate::runner::run`]
-//! dispatches on [`BenchConfig::backend`] — so reports, stores, and
+//! matches on [`BenchConfig::backend`] — so reports, stores, and
 //! sweeps are backend-agnostic. A config's digest covers the `backend`
 //! field, which keeps analytic and DES results under distinct cache keys
-//! (see the digest contract in [`crate::store`]).
+//! (see the digest contract in [`crate::store`]). This module holds the
+//! analytic backend's closed-form partition fractions.
 
 use crate::bench::MicroBenchmark;
-use crate::config::{BackendKind, BenchConfig};
-use crate::error::Error;
-use crate::report::BenchReport;
-use mapreduce::analytic::{evaluate, AnalyticJob};
-use mapreduce::engine::Engine;
-
-/// One way of evaluating a benchmark configuration.
-pub trait Backend: Send + Sync {
-    /// The selector this backend answers to.
-    fn kind(&self) -> BackendKind;
-    /// Human-readable name for logs and reports.
-    fn name(&self) -> &'static str;
-    /// Evaluate `config` to a report. Implementations must validate the
-    /// config first so every backend rejects bad input with
-    /// [`Error::Config`] (CLI exit code 3).
-    fn run(&self, config: &BenchConfig) -> Result<BenchReport, Error>;
-}
-
-/// The discrete-event simulator backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DesBackend;
-
-impl Backend for DesBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Des
-    }
-
-    fn name(&self) -> &'static str {
-        "discrete-event simulator"
-    }
-
-    fn run(&self, config: &BenchConfig) -> Result<BenchReport, Error> {
-        config.validate().map_err(Error::Config)?;
-        let spec = config.job_spec();
-        let factory = config.factory();
-        let mut engine = Engine::with_topology(
-            spec,
-            factory.as_ref(),
-            config.node_spec(),
-            config.topology(),
-        );
-        if config.trace {
-            engine.enable_tracing();
-        }
-        let result = engine.run();
-        Ok(BenchReport {
-            config: config.clone(),
-            result,
-        })
-    }
-}
-
-/// The closed-form cost-model backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnalyticBackend;
-
-impl Backend for AnalyticBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Analytic
-    }
-
-    fn name(&self) -> &'static str {
-        "analytic cost model"
-    }
-
-    fn run(&self, config: &BenchConfig) -> Result<BenchReport, Error> {
-        config.validate().map_err(Error::Config)?;
-        // The model has no notion of failures or speculative attempts;
-        // silently returning fault-free numbers for a fault-injection
-        // config would be a lie, so refuse instead.
-        if !config.faults.is_empty() {
-            return Err(Error::Config(
-                "the analytic backend cannot model fault injection; use --backend des".into(),
-            ));
-        }
-        if config.speculative {
-            return Err(Error::Config(
-                "the analytic backend cannot model speculative execution; use --backend des".into(),
-            ));
-        }
-        let spec = config.job_spec();
-        let node = config.node_spec();
-        let topology = config.topology();
-        let result = evaluate(&AnalyticJob {
-            spec: &spec,
-            node: &node,
-            topology: &topology,
-            reduce_fractions: expected_reduce_fractions(config),
-            monitor_interval_s: config.monitor_interval_s,
-            trace: config.trace,
-        })
-        .map_err(Error::Config)?;
-        Ok(BenchReport {
-            config: config.clone(),
-            result,
-        })
-    }
-}
-
-/// The backend implementing `kind`.
-pub fn backend_for(kind: BackendKind) -> &'static dyn Backend {
-    match kind {
-        BackendKind::Des => &DesBackend,
-        BackendKind::Analytic => &AnalyticBackend,
-    }
-}
+use crate::config::BenchConfig;
 
 /// Expected fraction of intermediate records each reducer receives under
 /// `config`'s benchmark — the closed-form counterpart of actually running
@@ -218,29 +111,5 @@ mod tests {
 
         let zipf = expected_reduce_fractions(&config(MicroBenchmark::Zipf, 4));
         assert!(zipf[0] > zipf[1] && zipf[1] > zipf[2] && zipf[2] > zipf[3]);
-    }
-
-    #[test]
-    fn both_backends_answer_to_their_kind() {
-        for kind in [BackendKind::Des, BackendKind::Analytic] {
-            assert_eq!(backend_for(kind).kind(), kind);
-        }
-    }
-
-    #[test]
-    fn analytic_refuses_what_it_cannot_model() {
-        let mut c = config(MicroBenchmark::Avg, 4);
-        c.backend = BackendKind::Analytic;
-        assert!(backend_for(BackendKind::Analytic).run(&c).is_ok());
-        let mut faulty = c.clone();
-        faulty.faults.map_failure_prob = 0.1;
-        let err = backend_for(BackendKind::Analytic).run(&faulty);
-        assert!(matches!(err, Err(Error::Config(_))), "{err:?}");
-        let mut spec = c;
-        spec.speculative = true;
-        assert!(matches!(
-            backend_for(BackendKind::Analytic).run(&spec),
-            Err(Error::Config(_))
-        ));
     }
 }

@@ -11,9 +11,9 @@
 //! exact byte count the simulator charges per record, and tests verify
 //! the two agree.
 
+use mapreduce::ifile;
 use mapreduce::io::writable::{BytesWritable, Text, Writable};
 use mapreduce::io::DataType;
-use mapreduce::{ifile, job::JobSpec};
 
 /// Generates the synthetic records of one map task.
 #[derive(Clone, Debug)]
@@ -37,7 +37,8 @@ impl KvGenerator {
     }
 
     /// Generator matching a job spec.
-    pub fn for_spec(spec: &JobSpec) -> Self {
+    #[cfg(test)]
+    pub fn for_spec(spec: &mapreduce::job::JobSpec) -> Self {
         KvGenerator::new(
             spec.key_size,
             spec.value_size,
@@ -216,7 +217,7 @@ mod tests {
 
     #[test]
     fn spec_roundtrip_consistency() {
-        let spec = JobSpec::default();
+        let spec = mapreduce::job::JobSpec::default();
         let g = KvGenerator::for_spec(&spec);
         assert_eq!(g.record_wire_len(), spec.record_ifile_len());
     }

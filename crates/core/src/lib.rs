@@ -49,7 +49,6 @@ pub mod store;
 pub mod sweep;
 
 pub use artifact::{ArtifactPaths, Artifacts, Panel};
-pub use backend::{backend_for, Backend};
 pub use bench::MicroBenchmark;
 pub use config::{BackendKind, BenchConfig, ShuffleVolume};
 pub use error::Error;

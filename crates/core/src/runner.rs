@@ -1,15 +1,72 @@
 //! Runs a [`BenchConfig`] through the backend it selects.
 
-use crate::backend::backend_for;
-use crate::config::BenchConfig;
+use crate::backend::expected_reduce_fractions;
+use crate::config::{BackendKind, BenchConfig};
 use crate::error::Error;
 use crate::report::BenchReport;
+use mapreduce::analytic::{evaluate, AnalyticJob};
+use mapreduce::engine::Engine;
 
 /// Run one micro-benchmark to completion on the backend named by
 /// [`BenchConfig::backend`] — the discrete-event simulator by default,
-/// or the closed-form analytic model (see [`crate::backend`]).
+/// or the closed-form analytic model (see [`crate::backend`]). Either
+/// backend validates the config first, so bad input is always an
+/// [`Error::Config`] (CLI exit code 3).
 pub fn run(config: &BenchConfig) -> Result<BenchReport, Error> {
-    backend_for(config.backend).run(config)
+    config.validate().map_err(Error::Config)?;
+    let result = match config.backend {
+        BackendKind::Des => run_des(config),
+        BackendKind::Analytic => run_analytic(config)?,
+    };
+    Ok(BenchReport {
+        config: config.clone(),
+        result,
+    })
+}
+
+/// The discrete-event simulator.
+fn run_des(config: &BenchConfig) -> mapreduce::JobResult {
+    let spec = config.job_spec();
+    let factory = config.factory();
+    let mut engine = Engine::with_topology(
+        spec,
+        factory.as_ref(),
+        config.node_spec(),
+        config.topology(),
+    );
+    if config.trace {
+        engine.enable_tracing();
+    }
+    engine.run()
+}
+
+/// The closed-form cost model.
+fn run_analytic(config: &BenchConfig) -> Result<mapreduce::JobResult, Error> {
+    // The model has no notion of failures or speculative attempts;
+    // silently returning fault-free numbers for a fault-injection
+    // config would be a lie, so refuse instead.
+    if !config.faults.is_empty() {
+        return Err(Error::Config(
+            "the analytic backend cannot model fault injection; use --backend des".into(),
+        ));
+    }
+    if config.speculative {
+        return Err(Error::Config(
+            "the analytic backend cannot model speculative execution; use --backend des".into(),
+        ));
+    }
+    let spec = config.job_spec();
+    let node = config.node_spec();
+    let topology = config.topology();
+    evaluate(&AnalyticJob {
+        spec: &spec,
+        node: &node,
+        topology: &topology,
+        reduce_fractions: expected_reduce_fractions(config),
+        monitor_interval_s: config.monitor_interval_s,
+        trace: config.trace,
+    })
+    .map_err(Error::Config)
 }
 
 #[cfg(test)]
@@ -81,6 +138,20 @@ mod tests {
         assert_eq!(p.result.job_time, r.result.job_time);
         assert_eq!(p.result.counters, r.result.counters);
         assert!(p.phases().is_none());
+    }
+
+    #[test]
+    fn analytic_refuses_what_it_cannot_model() {
+        let mut c = small(MicroBenchmark::Avg, Interconnect::GigE1);
+        c.backend = BackendKind::Analytic;
+        assert!(run(&c).is_ok());
+        let mut faulty = c.clone();
+        faulty.faults.map_failure_prob = 0.1;
+        let err = run(&faulty);
+        assert!(matches!(err, Err(Error::Config(_))), "{err:?}");
+        let mut spec = c;
+        spec.speculative = true;
+        assert!(matches!(run(&spec), Err(Error::Config(_))));
     }
 
     #[test]

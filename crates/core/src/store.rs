@@ -37,10 +37,10 @@
 //!   results* — the store trades a few duplicate cells for never serving
 //!   a stale one.
 //! * **Every semantic knob must reach the JSON.** Anything that can
-//!   change a result — including which [`crate::backend::Backend`]
-//!   produced it — must appear in the encoding the moment it departs
-//!   from the default, so DES and analytic results for the same workload
-//!   live under distinct keys and can never shadow each other
+//!   change a result — including which backend produced it — must
+//!   appear in the encoding the moment it departs from the default, so
+//!   DES and analytic results for the same workload live under distinct
+//!   keys and can never shadow each other
 //!   (`digest_distinguishes_every_semantic_knob` below pins this).
 
 use std::path::{Path, PathBuf};

@@ -151,6 +151,7 @@ impl Default for JobConf {
 
 impl JobConf {
     /// Conf with the given task counts and defaults elsewhere.
+    #[cfg(test)]
     pub fn with_tasks(num_maps: u32, num_reduces: u32) -> Self {
         JobConf {
             num_maps,

@@ -342,7 +342,7 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
     let mut job_times: Vec<Vec<f64>> = vec![Vec::new(); n_tenants];
     let mut completed = 0usize;
     let mut makespan = SimTime::ZERO;
-    let mut flow_buf: Vec<simnet::FlowCompletion> = Vec::new();
+    let mut flow_buf: Vec<u64> = Vec::new();
 
     // Grant free slots to queued tasks, Fair-scheduler style: always the
     // tenant with the smallest running/weight deficit, ties to the lower
@@ -412,8 +412,8 @@ pub fn run(spec: &MultiJobSpec) -> MultiJobResult {
             flow_buf.clear();
             net.advance_to_into(t, &mut flow_buf);
             let mut any_phase_change = false;
-            for c in &flow_buf {
-                let j = c.tag as usize;
+            for &tag in &flow_buf {
+                let j = tag as usize;
                 let job = &mut jobs[j];
                 debug_assert_eq!(job.phase, Phase::Shuffle);
                 job.pending_flows -= 1;

@@ -145,6 +145,7 @@ impl Scheduler {
     }
 
     /// Is `node` blacklisted?
+    #[cfg(test)]
     pub fn is_blacklisted(&self, node: usize) -> bool {
         self.blacklisted[node]
     }

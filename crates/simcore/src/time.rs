@@ -133,12 +133,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// Multiply by an integer factor, saturating.
-    #[inline]
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
-    }
 }
 
 fn secs_f64_to_nanos(s: f64) -> u64 {

@@ -64,7 +64,7 @@ impl ByteSize {
     }
 
     /// Size in binary gigabytes, as a float.
-    #[inline]
+    #[cfg(test)]
     pub fn as_gib_f64(self) -> f64 {
         self.0 as f64 / GIB as f64
     }

@@ -10,17 +10,15 @@
 //! * [`topology`] — cluster fabric: single-switch crossbar or rack-aware
 //!   with oversubscribed top-of-rack uplinks.
 //! * [`fairshare`] — max-min fair allocation (progressive filling).
-//! * [`network`] — the event-driven flow engine.
-//! * [`monitor`] — 1 Hz per-node throughput sampling (Fig. 7(b)).
+//! * [`network`] — the event-driven flow engine, with per-node receive
+//!   accounting for throughput sampling (Fig. 7(b)).
 
 pub mod fairshare;
-pub mod monitor;
 pub mod network;
 pub mod protocol;
 pub mod topology;
 
 pub use fairshare::{FairshareSolver, FlowKey, FlowSpec, RackCaps};
-pub use monitor::NetworkMonitor;
-pub use network::{FlowCompletion, FlowId, Network};
+pub use network::Network;
 pub use protocol::{Interconnect, ProtocolModel};
 pub use topology::{NodeId, Topology};

@@ -23,9 +23,13 @@
 //! that holds exactly the active non-loopback flows; its arrival order is
 //! flow-id order, so it freezes flows in the same sequence — and produces
 //! the same bits — as running the batch solver over the id-ordered flow
-//! list on every event, the way the engine originally did. Per-node
-//! monitor rates are re-summed only for nodes touched by a rate change,
-//! again in id order, keeping the drained byte counts bit-identical too.
+//! list on every event, the way the engine originally did.
+//!
+//! Completions are reported as the callers' tags. The network keeps only
+//! receive-side accounting (the throughput the paper plots in Fig. 7(b)):
+//! a node's receive rate is re-summed only when a flow into it changes
+//! rate or leaves, again in id order, keeping the drained byte counts
+//! bit-identical to a full recompute.
 
 use std::collections::VecDeque;
 
@@ -36,10 +40,6 @@ use simcore::units::{ByteSize, Rate};
 use crate::fairshare::{FairshareSolver, FlowKey, FlowSpec, RackCaps};
 use crate::topology::{NodeId, Topology};
 
-/// Handle to an in-flight transfer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct FlowId(u64);
-
 /// Default loopback (same-host) copy rate: a conservative memory-to-memory
 /// figure that is protocol independent.
 pub const LOOPBACK_RATE_MB_S: f64 = 3000.0;
@@ -49,7 +49,8 @@ pub const LOOPBACK_RATE_MB_S: f64 = 3000.0;
 /// pass streams a few dense `f64` lanes instead of 100-byte structs.
 #[derive(Clone, Debug)]
 struct FlowSlot {
-    /// Public monotonic flow id (`order` is sorted by it).
+    /// Monotonic flow id (`order` is sorted by it; it fixes the report
+    /// order of same-instant completions).
     id: u64,
     src: NodeId,
     dst: NodeId,
@@ -59,21 +60,6 @@ struct FlowSlot {
     tag: u64,
     /// Solver membership, present exactly while active and non-loopback.
     key: Option<FlowKey>,
-}
-
-/// A finished transfer, as reported by [`Network::advance_to_into`].
-#[derive(Clone, Copy, Debug)]
-pub struct FlowCompletion {
-    /// The flow that finished.
-    pub id: FlowId,
-    /// Sending host.
-    pub src: NodeId,
-    /// Receiving host.
-    pub dst: NodeId,
-    /// Payload size of the whole transfer.
-    pub bytes: ByteSize,
-    /// Caller-supplied correlation tag.
-    pub tag: u64,
 }
 
 /// Flow-level network simulator over a single-switch topology.
@@ -95,7 +81,6 @@ pub struct Network {
     solver: FairshareSolver,
     next_id: u64,
     clock: SimTime,
-    node_tx: Vec<RateIntegrator>,
     node_rx: Vec<RateIntegrator>,
     loopback: Rate,
     /// Total payload bytes fully delivered, in exact integer bytes.
@@ -141,7 +126,6 @@ impl Network {
             solver,
             next_id: 0,
             clock: SimTime::ZERO,
-            node_tx: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
             node_rx: (0..n).map(|_| RateIntegrator::new(SimTime::ZERO)).collect(),
             loopback: Rate::from_mb_per_sec(LOOPBACK_RATE_MB_S),
             delivered: 0,
@@ -192,7 +176,7 @@ impl Network {
         dst: NodeId,
         bytes: ByteSize,
         tag: u64,
-    ) -> FlowId {
+    ) {
         assert!(self.topology.contains(src), "unknown src {src}");
         assert!(self.topology.contains(dst), "unknown dst {dst}");
         // At the current instant there is nothing to settle, which keeps
@@ -266,7 +250,6 @@ impl Network {
             self.active[si as usize] = false;
             self.latent.push_back(si);
         }
-        FlowId(id)
     }
 
     /// The earliest instant at which something happens (an activation or a
@@ -315,14 +298,15 @@ impl Network {
         }
     }
 
-    /// Advance the network clock to `now`, appending every transfer that
-    /// completed at or before `now` to `out` (in deterministic flow-id
-    /// order). `out` is caller-owned so the event loop allocates nothing.
+    /// Advance the network clock to `now`, appending the tag of every
+    /// transfer that completed at or before `now` to `out` (in
+    /// deterministic flow-id order). `out` is caller-owned so the event
+    /// loop allocates nothing.
     ///
     /// The caller must not skip past events: `now` should be at most
     /// [`Network::next_event_time`]. Skipping only loses precision, never
     /// panics.
-    pub fn advance_to_into(&mut self, now: SimTime, out: &mut Vec<FlowCompletion>) {
+    pub fn advance_to_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
         self.integrate_to(now);
 
         // Activations: pop the FIFO while due.
@@ -352,19 +336,11 @@ impl Network {
             let s = self.completed_scratch[i];
             let f = &mut self.slots[s as usize];
             self.delivered += f.total.as_bytes();
-            out.push(FlowCompletion {
-                id: FlowId(f.id),
-                src: f.src,
-                dst: f.dst,
-                bytes: f.total,
-                tag: f.tag,
-            });
-            let id = f.id;
-            let (src, dst) = (f.src, f.dst);
+            out.push(f.tag);
+            let (id, dst) = (f.id, f.dst);
             if let Some(key) = f.key.take() {
                 self.solver.remove_flow(key);
                 removed += 1;
-                self.mark_dirty(src);
                 self.mark_dirty(dst);
             }
             let slots = &self.slots;
@@ -381,20 +357,10 @@ impl Network {
         }
     }
 
-    /// Instantaneous transmit rate at `node`.
-    pub fn tx_rate(&self, node: NodeId) -> Rate {
-        Rate::from_bytes_per_sec(self.node_tx[node.0].rate().max(0.0))
-    }
-
     /// Bytes received by `node` since the last drain (advances the
     /// integrator to `now`). Used by 1 Hz resource monitors.
     pub fn drain_rx_bytes(&mut self, node: NodeId, now: SimTime) -> f64 {
         self.node_rx[node.0].drain(now)
-    }
-
-    /// Bytes transmitted by `node` since the last drain.
-    pub fn drain_tx_bytes(&mut self, node: NodeId, now: SimTime) -> f64 {
-        self.node_tx[node.0].drain(now)
     }
 
     /// The one integration pass: move the clock to `now`, settle every
@@ -420,9 +386,6 @@ impl Network {
                 }
             }
         }
-        for ri in &mut self.node_tx {
-            ri.advance(now);
-        }
         for ri in &mut self.node_rx {
             ri.advance(now);
         }
@@ -442,11 +405,13 @@ impl Network {
         }
     }
 
-    /// Re-solve fair shares and refresh the monitors of affected nodes.
+    /// Re-solve fair shares and refresh the receive rates of affected
+    /// nodes.
     ///
     /// Only flows whose rate actually changed are touched, and only their
-    /// endpoints' monitor sums are recomputed — each sum in flow-id order,
-    /// so the arithmetic matches a full id-ordered recompute bit for bit.
+    /// destinations' receive sums are recomputed — each sum in flow-id
+    /// order, so the arithmetic matches a full id-ordered recompute bit
+    /// for bit.
     fn resolve_rates(&mut self) {
         self.solver.solve();
         // Every registered flow is frozen exactly once per solve, and each
@@ -456,22 +421,19 @@ impl Network {
             let (user, rate) = self.solver.changed()[i];
             let s = user as usize;
             self.rate_bps[s] = rate;
-            let (src, dst) = (self.slots[s].src, self.slots[s].dst);
-            self.mark_dirty(src);
-            self.mark_dirty(dst);
+            self.mark_dirty(self.slots[s].dst);
         }
         let now = self.clock;
         for i in 0..self.dirty_nodes.len() {
             let node = self.dirty_nodes[i] as usize;
-            self.node_tx[node].set_rate(now, self.solver.egress_rate_sum(node));
             self.node_rx[node].set_rate(now, self.solver.ingress_rate_sum(node));
         }
     }
 
     /// Run the network by itself until all flows finish; returns the
-    /// completions in order. Mostly useful in tests — the MapReduce engine
-    /// interleaves its own events.
-    pub fn run_to_idle(&mut self) -> Vec<FlowCompletion> {
+    /// completed flows' tags in order. Mostly useful in tests — the
+    /// MapReduce engine interleaves its own events.
+    pub fn run_to_idle(&mut self) -> Vec<u64> {
         let mut all = Vec::new();
         while let Some(t) = self.next_event_time() {
             self.advance_to_into(t, &mut all);
@@ -490,6 +452,7 @@ fn completion_eps(rate_bps: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::protocol::Interconnect;
+    use simcore::stats::IntervalSampler;
 
     fn net(nodes: usize, ic: Interconnect) -> Network {
         Network::new(Topology::single_switch(nodes, ic))
@@ -500,10 +463,8 @@ mod tests {
         let mut n = net(2, Interconnect::GigE1);
         let bytes = ByteSize::from_mib(100);
         n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), bytes, 7);
-        let done = n.run_to_idle();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 7);
-        assert_eq!(done[0].bytes, bytes);
+        assert_eq!(n.run_to_idle(), vec![7]);
+        assert_eq!(n.delivered_bytes(), bytes.as_bytes());
         let expect = 55e-6 + bytes.as_bytes() as f64 / (112.0 * 1e6);
         let got = n.now().as_secs_f64();
         assert!(
@@ -551,10 +512,18 @@ mod tests {
             let t = n.next_event_time().unwrap();
             n.advance_to_into(t, &mut done);
         }
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 1);
-        // Rebalanced: remaining flow now runs at the full ceiling.
-        let r = n.tx_rate(NodeId(0)).as_mb_per_sec();
+        assert_eq!(done, vec![1]);
+        // Rebalanced: the remaining flow now runs at the full ceiling, so
+        // the receiver takes in 545 MB/s over the next window.
+        let t0 = n.now();
+        n.drain_rx_bytes(NodeId(2), t0);
+        let t1 = t0 + SimDuration::from_millis(100);
+        assert!(
+            n.next_event_time().unwrap() > t1,
+            "window outlasts the flow"
+        );
+        n.advance_to_into(t1, &mut done);
+        let r = n.drain_rx_bytes(NodeId(2), t1) / 0.1 / 1e6;
         assert!((r - 545.0).abs() < 1.0, "rate after rebalance: {r}");
         n.run_to_idle();
         assert_eq!(n.active_flows(), 0);
@@ -570,11 +539,12 @@ mod tests {
             ByteSize::from_mib(300),
             0,
         );
-        // NIC monitors see nothing.
-        assert_eq!(n.tx_rate(NodeId(0)).as_mb_per_sec(), 0.0);
         let done = n.run_to_idle();
         assert_eq!(done.len(), 1);
-        let t = n.now().as_secs_f64();
+        // NIC monitors see nothing over the whole copy.
+        let end = n.now();
+        assert_eq!(n.drain_rx_bytes(NodeId(0), end), 0.0);
+        let t = end.as_secs_f64();
         let expect = 300.0 * 1024.0 * 1024.0 / (3000.0 * 1e6);
         assert!((t - expect).abs() < 1e-3, "loopback time {t} vs {expect}");
     }
@@ -632,6 +602,49 @@ mod tests {
         assert_eq!(n.delivered_bytes(), payload.as_bytes());
     }
 
+    fn mb_per_s(n: &mut Network) -> impl FnMut(usize, SimTime, f64) -> f64 + '_ {
+        move |node, at, dt| n.drain_rx_bytes(NodeId(node), at) / dt / 1e6
+    }
+
+    #[test]
+    fn sampled_rx_integrates_to_the_bytes_sent() {
+        // 280 MiB at 112 MB/s: about 2.6 s, ending mid-interval.
+        let mut n = net(2, Interconnect::GigE1);
+        let mut mon = IntervalSampler::new(2, SimDuration::from_secs(1));
+        let total = ByteSize::from_mib(280);
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), total, 0);
+        let mut done = Vec::new();
+        while done.is_empty() {
+            let sample_at = mon.next_sample_time();
+            match n.next_event_time() {
+                Some(t) if t <= sample_at => n.advance_to_into(t, &mut done),
+                _ => {
+                    n.advance_to_into(sample_at, &mut done);
+                    mon.maybe_sample(sample_at, mb_per_s(&mut n));
+                }
+            }
+        }
+        let end = n.now();
+        assert!(!end.as_nanos().is_multiple_of(1_000_000_000), "end {end:?}");
+        mon.flush(end, mb_per_s(&mut n));
+        let rx = mon.series(1);
+        assert_eq!(rx.len(), 3);
+        assert_eq!(rx.samples()[2].time, end);
+        let peak = rx.peak().unwrap();
+        assert!((peak - 112.0).abs() < 2.0, "peak {peak}");
+        // Every byte sent shows up in the receiver's series, tail window
+        // included; the sender received nothing.
+        let mut prev = SimTime::ZERO;
+        let mut got = 0.0;
+        for s in rx.samples() {
+            got += s.value * 1e6 * s.time.since(prev).as_secs_f64();
+            prev = s.time;
+        }
+        let sent = total.as_bytes() as f64;
+        assert!((got - sent).abs() / sent < 1e-9, "{got} vs {sent}");
+        assert_eq!(mon.series(0).peak(), Some(0.0));
+    }
+
     #[test]
     fn delivered_bytes_is_integer_exact_beyond_f64_precision() {
         // Regression: `delivered` used to accumulate in an f64, which
@@ -663,8 +676,7 @@ mod tests {
         n.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), mib, 0);
         n.start_flow(SimTime::from_nanos(10_000), NodeId(1), NodeId(2), mib, 1);
         assert_eq!(n.work_units(), 1);
-        let done = n.run_to_idle();
-        assert_eq!(done.iter().map(|c| c.tag).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(n.run_to_idle(), vec![0, 1]);
         assert_eq!(n.work_units(), 16);
     }
 
@@ -682,7 +694,7 @@ mod tests {
                 );
             }
             let done = n.run_to_idle();
-            (n.now(), done.iter().map(|c| c.tag).collect::<Vec<_>>())
+            (n.now(), done)
         };
         assert_eq!(run(), run());
     }
@@ -706,17 +718,13 @@ mod tests {
                     s as u64,
                 );
             }
-            let done = n.run_to_idle();
-            done.iter().map(|c| (c.id, c.tag)).collect::<Vec<_>>()
+            n.run_to_idle()
         };
         let a = run();
         assert_eq!(a, run());
         // Flow ids were assigned in start order, so completions come
         // back in that order.
-        assert_eq!(
-            a.iter().map(|(_, tag)| *tag).collect::<Vec<_>>(),
-            vec![5, 2, 7, 0, 6, 1, 4]
-        );
+        assert_eq!(a, vec![5, 2, 7, 0, 6, 1, 4]);
     }
 
     #[test]
@@ -746,9 +754,7 @@ mod tests {
                 100 + s as u64,
             );
         }
-        let second = n.run_to_idle();
-        let tags: Vec<u64> = second.iter().map(|c| c.tag).collect();
-        assert_eq!(tags, vec![100, 101, 102, 103]);
+        assert_eq!(n.run_to_idle(), vec![100, 101, 102, 103]);
     }
 
     #[test]

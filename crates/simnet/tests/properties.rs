@@ -189,8 +189,8 @@ fn factor_one_racks_bit_identical_to_flat() {
         while let Some(t) = net.next_event_time() {
             out.clear();
             net.advance_to_into(t, &mut out);
-            for c in &out {
-                events.push((t.as_nanos(), c.tag));
+            for &tag in &out {
+                events.push((t.as_nanos(), tag));
             }
         }
         events

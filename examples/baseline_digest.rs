@@ -1,9 +1,11 @@
 //! Prints an exact digest (nanosecond job time + full counters) for a
 //! grid of representative configurations. Used to verify that engine
-//! changes keep clean-path runs bit-identical.
+//! changes keep clean-path runs bit-identical: the expected output is
+//! committed next to this file as `baseline_digest.golden`, and CI diffs
+//! against it.
 //!
 //! ```text
-//! cargo run --release --example baseline_digest
+//! cargo run --release -q --example baseline_digest | diff examples/baseline_digest.golden -
 //! ```
 
 use hadoop_mr_microbench::mrbench::{

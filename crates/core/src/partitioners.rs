@@ -12,10 +12,17 @@
 //!   reducer 1, 12.5 % to reducer 2, and the remaining 12.5 % spread
 //!   randomly. The pattern is the same on every run, so comparisons
 //!   across networks stay fair.
+//!
+//! No partitioner here reads keys, so each overrides
+//! [`Partitioner::assign_counts`] with a bulk path that builds none.
+//! MR-RAND, MR-SKEW and MR-ZIPF still take every per-record draw from
+//! `java.util.Random`, in order: their bulk paths produce the same
+//! counts as the per-record [`Partitioner::partition`] loop and leave
+//! the generator where that loop would.
 
 use mapreduce::job::PartitionerFactory;
 use mapreduce::partition::Partitioner;
-use simcore::rng::JavaRandom;
+use simcore::rng::{JavaDraws, JavaRandom};
 
 /// MR-AVG: uniform round-robin distribution.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,6 +66,29 @@ impl Partitioner for RandPartitioner {
     fn partition(&mut self, _key: &[u8], _ordinal: u64, n_reducers: u32) -> u32 {
         self.rng.next_int_bound(n_reducers as i32) as u32
     }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        let mut counts = vec![0u64; n_reducers as usize];
+        let mut draws = JavaDraws::new(&mut self.rng);
+        if n_reducers.is_power_of_two() {
+            // One draw per record, and nextInt(2^b) is the draw's top b
+            // bits: the raw states index the histogram directly.
+            let shift = 48 - n_reducers.trailing_zeros();
+            draws.for_each_state(n_records, |state| {
+                counts[(state >> shift) as usize] += 1;
+            });
+        } else {
+            for _ in 0..n_records {
+                counts[draws.next_int_bound(n_reducers as i32) as usize] += 1;
+            }
+        }
+        counts
+    }
 }
 
 /// MR-SKEW: 50 % / 25 % / 12.5 % to the first three reducers, rest random.
@@ -89,6 +119,35 @@ impl Partitioner for SkewPartitioner {
         } else {
             self.rng.next_int_bound(n_reducers as i32) as u32
         }
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        // u = (hi26 * 2^27 + lo27) * 2^-53 is exact in f64, so the
+        // thresholds 0.5 / 0.75 / 0.875 test only the first draw's top
+        // three bits: t < 4, t < 6 and t < 7. The second draw is taken
+        // but cannot move u across any of them. A table replaces the
+        // branch chain; t == 7 is the random tail.
+        const TAIL: u32 = u32::MAX;
+        let last = n_reducers - 1;
+        let (one, two) = (1u32.min(last), 2u32.min(last));
+        let head = [0, 0, 0, 0, one, one, two, TAIL];
+        let mut counts = vec![0u64; n_reducers as usize];
+        let mut draws = JavaDraws::new(&mut self.rng);
+        for _ in 0..n_records {
+            let t = (draws.next_state() >> 45) as usize;
+            draws.next_state();
+            let r = match head[t] {
+                TAIL => draws.next_int_bound(n_reducers as i32) as u32,
+                r => r,
+            };
+            counts[r as usize] += 1;
+        }
+        counts
     }
 }
 
@@ -199,10 +258,9 @@ mod tests {
 
     #[test]
     fn skew_partition_loop_equals_assign_counts() {
-        // SkewPartitioner relies on the default bulk path, so the
-        // per-record loop and assign_counts must consume the RNG
-        // identically — for every reducer count, including the clamped
-        // n < 3 cases.
+        // SkewPartitioner's bulk path must consume the RNG exactly as the
+        // per-record loop does, across many buffer refills and for every
+        // reducer count, including the clamped n < 3 cases.
         for n_red in [1u32, 2, 3, 8] {
             let mut a = SkewPartitioner::new(11);
             let mut loop_counts = vec![0u64; n_red as usize];
@@ -332,6 +390,23 @@ impl Partitioner for ZipfPartitioner {
         self.cdf
             .partition_point(|&c| c < u)
             .min(n_reducers as usize - 1) as u32
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        _key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        self.ensure_cdf(n_reducers);
+        let last = n_reducers as usize - 1;
+        let mut counts = vec![0u64; n_reducers as usize];
+        let mut draws = JavaDraws::new(&mut self.rng);
+        for _ in 0..n_records {
+            let u = draws.next_double();
+            counts[self.cdf.partition_point(|&c| c < u).min(last)] += 1;
+        }
+        counts
     }
 }
 

@@ -1,11 +1,17 @@
 //! Runs a [`BenchConfig`] through the backend it selects.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use crate::backend::expected_reduce_fractions;
+use crate::bench::MicroBenchmark;
 use crate::config::{BackendKind, BenchConfig};
 use crate::error::Error;
 use crate::report::BenchReport;
 use mapreduce::analytic::{evaluate, AnalyticJob};
 use mapreduce::engine::Engine;
+use mapreduce::job::PartitionerFactory;
+use mapreduce::partition::Partitioner;
 
 /// Run one micro-benchmark to completion on the backend named by
 /// [`BenchConfig::backend`] — the discrete-event simulator by default,
@@ -13,9 +19,17 @@ use mapreduce::engine::Engine;
 /// backend validates the config first, so bad input is always an
 /// [`Error::Config`] (CLI exit code 3).
 pub fn run(config: &BenchConfig) -> Result<BenchReport, Error> {
+    run_with(config, None)
+}
+
+/// [`run`], reading per-map partition counts through `memo` when given.
+pub(crate) fn run_with(
+    config: &BenchConfig,
+    memo: Option<&CountsMemo>,
+) -> Result<BenchReport, Error> {
     config.validate().map_err(Error::Config)?;
     let result = match config.backend {
-        BackendKind::Des => run_des(config),
+        BackendKind::Des => run_des(config, memo),
         BackendKind::Analytic => run_analytic(config)?,
     };
     Ok(BenchReport {
@@ -25,9 +39,16 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, Error> {
 }
 
 /// The discrete-event simulator.
-fn run_des(config: &BenchConfig) -> mapreduce::JobResult {
+fn run_des(config: &BenchConfig, memo: Option<&CountsMemo>) -> mapreduce::JobResult {
     let spec = config.job_spec();
-    let factory = config.factory();
+    let mut factory = config.factory();
+    if let Some(memo) = memo {
+        factory = Box::new(MemoFactory {
+            inner: factory,
+            partitioner: partitioner_id(config),
+            memo: memo.clone(),
+        });
+    }
     let mut engine = Engine::with_topology(
         spec,
         factory.as_ref(),
@@ -38,6 +59,80 @@ fn run_des(config: &BenchConfig) -> mapreduce::JobResult {
         engine.enable_tracing();
     }
     engine.run()
+}
+
+/// Which partitioner a config runs: its benchmark, plus the exponent
+/// for MR-ZIPF (the only one that reads it).
+type PartitionerId = (&'static str, u64);
+
+fn partitioner_id(config: &BenchConfig) -> PartitionerId {
+    let exponent = match config.benchmark {
+        MicroBenchmark::Zipf => config.zipf_exponent.to_bits(),
+        _ => 0,
+    };
+    (config.benchmark.label(), exponent)
+}
+
+/// Everything one map's counts depend on: the partitioner, the
+/// `(map_index, seed)` it was created with, and the `(n_records,
+/// n_reducers)` of its `assign_counts` call. The network never enters.
+type CountsKey = (PartitionerId, u32, u64, u64, u32);
+
+/// Per-map partition counts shared by the cells of one sweep. The
+/// counts are a pure function of their [`CountsKey`], so whichever cell
+/// computes an entry first, every reader gets the same value.
+pub(crate) type CountsMemo = Arc<Mutex<BTreeMap<CountsKey, Vec<u64>>>>;
+
+/// Wraps a config's partitioner factory so each map's counts are read
+/// through a [`CountsMemo`].
+struct MemoFactory {
+    inner: Box<dyn PartitionerFactory>,
+    partitioner: PartitionerId,
+    memo: CountsMemo,
+}
+
+impl PartitionerFactory for MemoFactory {
+    fn create(&self, map_index: u32, seed: u64) -> Box<dyn Partitioner> {
+        Box::new(MemoPartitioner {
+            inner: self.inner.create(map_index, seed),
+            created: (self.partitioner, map_index, seed),
+            memo: Arc::clone(&self.memo),
+        })
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+struct MemoPartitioner {
+    inner: Box<dyn Partitioner>,
+    created: (PartitionerId, u32, u64),
+    memo: CountsMemo,
+}
+
+impl Partitioner for MemoPartitioner {
+    fn partition(&mut self, key: &[u8], ordinal: u64, n_reducers: u32) -> u32 {
+        self.inner.partition(key, ordinal, n_reducers)
+    }
+
+    fn assign_counts(
+        &mut self,
+        n_records: u64,
+        n_reducers: u32,
+        key_of: &mut dyn FnMut(u64, &mut Vec<u8>),
+    ) -> Vec<u64> {
+        let (partitioner, map_index, seed) = self.created;
+        let key = (partitioner, map_index, seed, n_records, n_reducers);
+        if let Some(counts) = self.memo.lock().unwrap().get(&key) {
+            return counts.clone();
+        }
+        // Computed outside the lock: two cells may race to fill one
+        // entry, but they compute the same value.
+        let counts = self.inner.assign_counts(n_records, n_reducers, key_of);
+        self.memo.lock().unwrap().insert(key, counts.clone());
+        counts
+    }
 }
 
 /// The closed-form cost model.

@@ -5,10 +5,14 @@
 //! across OS threads, optionally through a [`ResultStore`] and a
 //! cancellation hook ([`SweepOptions`]). Each cell is an independent
 //! simulation — it builds its own engine, RNG streams, and monitors from
-//! the config seed — so parallel execution produces **bit-identical**
-//! per-cell results to running each config through [`run`] one after
-//! another, in the same row-major order. The default thread count comes
-//! from the `MRBENCH_THREADS` environment variable when set, else from
+//! the config seed. The one thing cells share is a read-through cache of
+//! per-map partition counts. Those are pure values of the benchmark,
+//! seed and job shape, never of the network, so a grid computes them
+//! once per row instead of once per cell. Parallel execution therefore
+//! produces **bit-identical** per-cell results to running each config
+//! through [`crate::run`] one after another, in the same row-major
+//! order. The default thread count comes from the `MRBENCH_THREADS`
+//! environment variable when set, else from
 //! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +24,7 @@ use simnet::Interconnect;
 use crate::config::BenchConfig;
 use crate::error::Error;
 use crate::report::BenchReport;
-use crate::runner::run;
+use crate::runner::{run_with, CountsMemo};
 use crate::store::{config_digest, ResultStore};
 
 /// Knobs for [`Sweep::run_grid_with`].
@@ -51,9 +55,13 @@ impl std::fmt::Debug for SweepOptions<'_> {
 }
 
 /// Run one cell, going through the store when one is configured. Traced
-/// configs bypass the cache: fragments do not persist span streams, so a
+/// configs bypass the store: fragments do not persist span streams, so a
 /// cache hit would silently drop the trace the caller asked for.
-fn run_cell(config: &BenchConfig, store: Option<&ResultStore>) -> Result<BenchReport, Error> {
+fn run_cell(
+    config: &BenchConfig,
+    store: Option<&ResultStore>,
+    memo: &CountsMemo,
+) -> Result<BenchReport, Error> {
     let digest = match store {
         Some(_) if !config.trace => Some(config_digest(config)),
         _ => None,
@@ -63,7 +71,7 @@ fn run_cell(config: &BenchConfig, store: Option<&ResultStore>) -> Result<BenchRe
             return Ok(report);
         }
     }
-    let report = run(config)?;
+    let report = run_with(config, Some(memo))?;
     if let (Some(store), Some(d)) = (store, &digest) {
         store.put(d, &report)?;
     }
@@ -113,8 +121,9 @@ impl Sweep {
     /// interconnect) pair, letting callers fix every other parameter.
     ///
     /// Cells land in row-major order, and each is bit-identical at every
-    /// thread count: a cell simulation is a pure function of its config,
-    /// sharing no mutable state with its neighbours.
+    /// thread count: a cell simulation is a pure function of its config.
+    /// Cells share only a per-call cache of per-map partition counts,
+    /// which holds pure values and is dropped when the call returns.
     pub fn run_grid_with(
         sizes: &[ByteSize],
         interconnects: &[Interconnect],
@@ -138,6 +147,7 @@ impl Sweep {
         // same claim loop on the calling thread, so the store and cancel
         // semantics are identical at every thread count.
         let next = AtomicUsize::new(0);
+        let memo = CountsMemo::default();
         let slots: Mutex<Vec<Option<Result<BenchReport, Error>>>> = {
             let mut v = Vec::new();
             v.resize_with(pairs.len(), || None);
@@ -154,7 +164,7 @@ impl Sweep {
             let Some(&(shuffle, ic)) = pairs.get(i) else {
                 break;
             };
-            let outcome = run_cell(&make(shuffle, ic), opts.store);
+            let outcome = run_cell(&make(shuffle, ic), opts.store, &memo);
             slots.lock().unwrap()[i] = Some(outcome);
         };
         if workers == 1 {
@@ -261,6 +271,7 @@ impl Sweep {
 mod tests {
     use super::*;
     use crate::bench::MicroBenchmark;
+    use crate::runner::run;
 
     fn grid(
         sizes: &[ByteSize],

@@ -12,7 +12,10 @@
 //! * a **real-thread stress**: the actual `run_grid_with` at several
 //!   worker counts, with the `make` callback counting invocations per
 //!   cell, asserting each cell is built exactly once and the artifact
-//!   bytes do not depend on the worker count.
+//!   bytes do not depend on the worker count;
+//! * the sweep's **shared counts memo**: cells of one grid mixing
+//!   benchmarks and Zipf exponents must each equal the same config run
+//!   alone, at one worker and at four racing on the memo's mutex.
 //!
 //! The model is exhaustive where real threads are probabilistic; the
 //! stress run ties the model back to the shipping code. CI additionally
@@ -22,7 +25,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mrbench::{Artifacts, BenchConfig, Interconnect, MicroBenchmark, Sweep, SweepOptions};
+use mrbench::{
+    run, Artifacts, BenchConfig, Interconnect, MicroBenchmark, ShuffleVolume, Sweep, SweepOptions,
+};
 use simcore::units::ByteSize;
 
 // ---------------------------------------------------------------------
@@ -253,4 +258,65 @@ fn cancellation_before_any_claim_reports_deadline() {
     let text = format!("{err}");
     assert!(text.contains("0"), "zero completed cells in: {text}");
     assert!(fired.load(Ordering::Relaxed) >= 1);
+}
+
+#[test]
+fn memoized_counts_never_leak_between_partitioners() {
+    // One grid whose cells mix benchmarks and two Zipf exponents, with
+    // the same seed, maps, reducers and records in every cell: the memo
+    // may share counts only between cells that would compute the same
+    // ones, so each cell must equal its config run alone.
+    const CELL_SIZES: [ByteSize; 3] = [
+        ByteSize::from_mib(64),
+        ByteSize::from_mib(128),
+        ByteSize::from_mib(256),
+    ];
+    const CELL_NETS: [Interconnect; 3] = [
+        Interconnect::GigE1,
+        Interconnect::GigE10,
+        Interconnect::IpoibQdr,
+    ];
+    let make = |size: ByteSize, ic: Interconnect| {
+        let row = CELL_SIZES
+            .iter()
+            .position(|&s| s == size)
+            .expect("known size");
+        let col = CELL_NETS.iter().position(|&n| n == ic).expect("known net");
+        let (bench, exponent) = match (row + col) % 4 {
+            0 => (MicroBenchmark::Rand, 1.0),
+            1 => (MicroBenchmark::Skew, 1.0),
+            2 => (MicroBenchmark::Zipf, 0.5),
+            _ => (MicroBenchmark::Zipf, 1.5),
+        };
+        let mut c = small(size, ic);
+        c.benchmark = bench;
+        c.zipf_exponent = exponent;
+        c.volume = ShuffleVolume::PairsPerMap(5_000);
+        c
+    };
+    let mut reference: Option<String> = None;
+    for threads in [1, 4] {
+        let opts = SweepOptions {
+            threads,
+            store: None,
+            cancel: None,
+        };
+        let sweep =
+            Sweep::run_grid_with(&CELL_SIZES, &CELL_NETS, make, &opts).expect("sweep completes");
+        for cell in &sweep.cells {
+            let alone = run(&make(cell.shuffle, cell.interconnect)).expect("cell runs");
+            assert_eq!(
+                alone.to_json().to_compact(),
+                cell.report.to_json().to_compact(),
+                "threads={threads}: {} {:?} differs from its config run alone",
+                cell.report.config.benchmark,
+                cell.interconnect
+            );
+        }
+        let bytes = artifact_bytes(sweep);
+        match &reference {
+            None => reference = Some(bytes),
+            Some(r) => assert_eq!(r, &bytes, "threads={threads} changed the artifact"),
+        }
+    }
 }

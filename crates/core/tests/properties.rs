@@ -2,7 +2,7 @@
 //! case grids (the workspace carries no external test dependencies).
 
 use mapreduce::partition::Partitioner;
-use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner};
+use mrbench::partitioners::{AvgPartitioner, RandPartitioner, SkewPartitioner, ZipfPartitioner};
 use mrbench::{DataType, KvGenerator};
 use simcore::rng::SplitMix64;
 
@@ -43,6 +43,52 @@ fn avg_closed_form_equals_loop() {
             looped[q.partition(&[], i, n_reducers) as usize] += 1;
         }
         assert_eq!(closed, looped);
+    }
+}
+
+/// Every bulk `assign_counts` (AVG's closed form included) equals the
+/// per-record `partition` loop it replaces, and leaves the partitioner
+/// where that loop would: the next `partition` calls agree too. Record
+/// counts straddle the bulk paths' lane and buffer boundaries; reducer
+/// counts cover 1–64, powers of two (`nextInt`'s one-draw path) and not
+/// (its rejection path), and SKEW's clamped 1/2/3.
+#[test]
+fn bulk_counts_equal_the_per_record_loop() {
+    type Make = fn(i64) -> Box<dyn Partitioner>;
+    let makes: [(&str, Make); 5] = [
+        ("avg", |_| Box::new(AvgPartitioner)),
+        ("rand", |s| Box::new(RandPartitioner::new(s))),
+        ("skew", |s| Box::new(SkewPartitioner::new(s))),
+        ("zipf-1.0", |s| Box::new(ZipfPartitioner::new(s, 1.0))),
+        ("zipf-0.7", |s| Box::new(ZipfPartitioner::new(s, 0.7))),
+    ];
+    let mut rng = SplitMix64::new(0xB01C);
+    for n_reducers in 1..=64u32 {
+        let random = rng.next_below(3_000);
+        for n_records in [0, 1, 3, 5, 255, 256, 257, 1_029, random] {
+            let seed = rng.next_u64() as i64;
+            for (name, make) in &makes {
+                let mut bulk = make(seed);
+                let counts = bulk.assign_counts(n_records, n_reducers, &mut no_keys);
+                let mut scalar = make(seed);
+                let mut looped = vec![0u64; n_reducers as usize];
+                for i in 0..n_records {
+                    looped[scalar.partition(&[], i, n_reducers) as usize] += 1;
+                }
+                assert_eq!(
+                    counts, looped,
+                    "{name}: seed {seed}, {n_records} records, {n_reducers} reducers"
+                );
+                for i in n_records..n_records + 9 {
+                    assert_eq!(
+                        bulk.partition(&[], i, n_reducers),
+                        scalar.partition(&[], i, n_reducers),
+                        "{name}: generator position after {n_records} records, \
+                         {n_reducers} reducers"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -948,7 +948,13 @@ impl<'f> Engine<'f> {
             partitioner.assign_counts(self.spec.pairs_per_map, n_reducers, &mut |ordinal, buf| {
                 synthetic_key(ordinal, n_reducers, key_size, buf)
             });
-        debug_assert_eq!(counts.iter().sum::<u64>(), self.spec.pairs_per_map);
+        // Checked in release too: a partitioner that loses or invents a
+        // record must stop the run, not skew a figure. One sum per map.
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            self.spec.pairs_per_map,
+            "map {index}: partition counts do not sum to the map's records"
+        );
         counts
     }
 

@@ -4,10 +4,12 @@
 //! serialized key bytes and the record's ordinal within its map task (the
 //! ordinal is what the suite's round-robin partitioner counts). The bulk
 //! entry point [`Partitioner::assign_counts`] produces the per-reducer
-//! record counts for a whole map task; the default implementation calls
-//! [`Partitioner::partition`] once per record — exactly the per-record
-//! code path Hadoop runs — while closed-form partitioners (round-robin)
-//! may override it.
+//! record counts for a whole map task, and it is the only one the engine
+//! calls. Its default implementation builds each key and calls
+//! [`Partitioner::partition`] once per record, the per-record code path
+//! Hadoop runs. The suite's own partitioners read no keys and override
+//! it with bulk paths; for them the per-record `partition` loop is the
+//! oracle their bulk counts must equal exactly.
 
 /// Assigns each intermediate record to a reduce partition.
 pub trait Partitioner {
@@ -21,7 +23,8 @@ pub trait Partitioner {
     /// across records so bulk assignment allocates nothing per record.
     ///
     /// The default implementation runs the exact per-record code path
-    /// Hadoop runs; closed-form partitioners (round-robin) may override.
+    /// Hadoop runs. An override must return the same counts as that loop
+    /// and leave the partitioner where the loop would.
     fn assign_counts(
         &mut self,
         n_records: u64,

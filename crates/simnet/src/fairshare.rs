@@ -15,7 +15,9 @@
 //!   scratch buffers across calls, so a flow arrival or departure is O(1)
 //!   bookkeeping and each re-solve touches only the bottleneck sets
 //!   (resources and the flows frozen at them) instead of rescanning every
-//!   flow per round.
+//!   flow per round. Its bottleneck scan visits only the resources that
+//!   still have unfrozen flows, kept in index order so ties break the
+//!   same way.
 //! * `max_min_rates` / `max_min_rates_racked` — the batch reference,
 //!   compiled only for this crate's unit tests. It allocates fresh
 //!   buffers and recounts resource membership on every call. The
@@ -341,6 +343,10 @@ pub struct FairshareSolver {
     // Reusable solve scratch.
     remaining: Vec<f64>,
     unfrozen: Vec<usize>,
+    /// Resources with unfrozen flows, in index order: the bottleneck
+    /// scan's candidates. Filled at solve start and compacted by each
+    /// round's scan, so a round skips resources that are already done.
+    live: Vec<u32>,
     /// Cached fair share per resource, recomputed only when the
     /// resource's remaining capacity or unfrozen count changed — the
     /// formula (and therefore the value) is exactly what a per-round
@@ -397,6 +403,7 @@ impl FairshareSolver {
             rate_floor_bps: rate_floor_for(max_cap),
             remaining: vec![0.0; n_res],
             unfrozen: vec![0; n_res],
+            live: Vec::with_capacity(n_res),
             share: vec![0.0; n_res],
             res_dirty: Vec::new(),
             in_dirty: vec![false; n_res],
@@ -581,11 +588,13 @@ impl FairshareSolver {
         }
         let epoch = self.solve_epoch;
         self.remaining.copy_from_slice(&self.capacity);
+        self.live.clear();
         for r in 0..self.unfrozen.len() {
             let cnt = self.res_flows[r].len();
             self.unfrozen[r] = cnt;
             if cnt > 0 {
                 self.share[r] = (self.remaining[r] / cnt as f64).max(0.0);
+                self.live.push(r as u32);
             }
         }
         // The previous solve's final round left its freeze-touched
@@ -612,17 +621,26 @@ impl FairshareSolver {
                 }
             }
             self.res_dirty.clear();
+            // Scan only the live resources, dropping the ones the last
+            // round finished. `live` stays in index order, so the strict
+            // `<` keeps the batch solver's lowest-index tie-break.
             let mut best_share = f64::INFINITY;
             let mut best_res = usize::MAX;
-            for (r, &cnt) in self.unfrozen.iter().enumerate() {
-                if cnt > 0 {
-                    let share = self.share[r];
-                    if share < best_share {
-                        best_share = share;
-                        best_res = r;
-                    }
+            let mut kept = 0;
+            for i in 0..self.live.len() {
+                let r = self.live[i] as usize;
+                if self.unfrozen[r] == 0 {
+                    continue;
+                }
+                self.live[kept] = r as u32;
+                kept += 1;
+                let share = self.share[r];
+                if share < best_share {
+                    best_share = share;
+                    best_res = r;
                 }
             }
+            self.live.truncate(kept);
             if best_res == usize::MAX {
                 // Defensive: freeze the rest at the floor (same
                 // bookkeeping as the batch solver).

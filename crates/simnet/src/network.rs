@@ -25,6 +25,14 @@
 //! the same bits — as running the batch solver over the id-ordered flow
 //! list on every event, the way the engine originally did.
 //!
+//! The one integration pass also keeps the smallest `remaining / rate`
+//! over the flows it settled, and [`Network::next_event_time`] answers
+//! from it while no rate has changed since (about half of a shuffle's
+//! steps), scanning the flow table only when a solve moved a rate, a
+//! flow activated, or a completion awaits removal. The cached quotient is
+//! the minimum the scan would take over the same values, so the answer
+//! is the same instant.
+//!
 //! Completions are reported as the callers' tags. The network keeps only
 //! receive-side accounting (the throughput the paper plots in Fig. 7(b)):
 //! a node's receive rate is re-summed only when a flow into it changes
@@ -91,6 +99,11 @@ pub struct Network {
     /// rate changes — the network's actual inner-loop cost, for
     /// simulated-work accounting (never wall clock).
     work_units: u64,
+    /// Smallest `remaining / rate` over the active flows, or infinity when
+    /// no flow can complete, as of the last integration pass; `None` when
+    /// a rate changed since, a completion awaits removal, or a flow was
+    /// added that the pass did not see.
+    next_q: Option<f64>,
     // Reusable event-processing scratch, so the advance path allocates
     // nothing in steady state.
     completed_scratch: Vec<u32>,
@@ -130,6 +143,7 @@ impl Network {
             loopback: Rate::from_mb_per_sec(LOOPBACK_RATE_MB_S),
             delivered: 0,
             work_units: 0,
+            next_q: None,
             completed_scratch: Vec::new(),
             dirty_nodes: Vec::new(),
             node_mark: vec![0; n],
@@ -182,7 +196,10 @@ impl Network {
         // At the current instant there is nothing to settle, which keeps
         // starting a flow O(1) when many start at once.
         if now != self.clock {
-            self.integrate_to(now);
+            let q = self.integrate_to(now);
+            // A completion found here is only reported by the next
+            // advance, and until then it is the next event.
+            self.next_q = self.completed_scratch.is_empty().then_some(q);
         }
 
         let latency = if src == dst {
@@ -224,7 +241,14 @@ impl Network {
         if src == dst {
             // Loopback: active immediately at the fixed copy rate; never
             // enters the fair-share solver or the NIC monitors.
-            self.rate_bps[si as usize] = self.loopback.as_bytes_per_sec();
+            let (rem, rate) = (
+                self.remaining[si as usize],
+                self.loopback.as_bytes_per_sec(),
+            );
+            self.rate_bps[si as usize] = rate;
+            if let Some(q) = self.next_q {
+                self.next_q = (rem > completion_eps(rate)).then(|| q.min(rem / rate));
+            }
         } else if latency.is_zero() {
             // Defensive: no interconnect has zero latency today, but if
             // one did the flow would contend immediately.
@@ -262,10 +286,22 @@ impl Network {
             .latent
             .front()
             .map(|&s| self.slots[s as usize].latent_until);
-        // Track the minimum time-to-completion as a raw quotient and
-        // convert once at the end: nanosecond conversion is monotone, so
-        // min-then-round equals the round-then-min a per-flow
-        // construction would compute.
+        let completion = match self.next_q {
+            Some(q) => {
+                let at = self.completion_after(q);
+                debug_assert_eq!(at, self.scan_completion(), "stale cached next event");
+                at
+            }
+            None => self.scan_completion(),
+        };
+        match (latent_at, completion) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The earliest completion by a full scan of the active flows.
+    fn scan_completion(&self) -> Option<SimTime> {
         let mut best_q = f64::INFINITY;
         for &s in &self.order {
             let s = s as usize;
@@ -287,15 +323,17 @@ impl Network {
                 best_q = q;
             }
         }
-        let completion = (best_q < f64::INFINITY).then(|| {
-            // +1 ns guards against float rounding leaving a sub-byte
-            // residue at the computed instant.
-            self.clock + SimDuration::from_secs_f64(best_q) + SimDuration::from_nanos(1)
-        });
-        match (latent_at, completion) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.completion_after(best_q)
+    }
+
+    /// The completion instant for a minimum time-to-completion `q`,
+    /// converted once: nanosecond conversion is monotone, so min-then-round
+    /// equals the round-then-min a per-flow construction would compute.
+    fn completion_after(&self, q: f64) -> Option<SimTime> {
+        // +1 ns guards against float rounding leaving a sub-byte residue
+        // at the computed instant.
+        (q < f64::INFINITY)
+            .then(|| self.clock + SimDuration::from_secs_f64(q) + SimDuration::from_nanos(1))
     }
 
     /// Advance the network clock to `now`, appending the tag of every
@@ -307,7 +345,7 @@ impl Network {
     /// [`Network::next_event_time`]. Skipping only loses precision, never
     /// panics.
     pub fn advance_to_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
-        self.integrate_to(now);
+        let q = self.integrate_to(now);
 
         // Activations: pop the FIFO while due.
         let mut activated = 0usize;
@@ -350,6 +388,10 @@ impl Network {
             self.free.push(s);
         }
 
+        // The integration pass saw every flow still active except the
+        // ones just activated, and those always change rate in the solve
+        // below (from unsolved), which drops the cache again.
+        self.next_q = Some(q);
         // Re-solve only when the contending set changed — loopback-only
         // traffic never perturbs fair shares.
         if activated > 0 || removed > 0 {
@@ -367,14 +409,18 @@ impl Network {
     /// active flow's remaining bytes, and collect the flows now at (or
     /// below) the completion threshold into `completed_scratch`. `order`
     /// is id-sorted, so they come out in flow-id order by construction.
-    /// Counts one work unit per alive flow whenever time moves.
-    fn integrate_to(&mut self, now: SimTime) {
+    /// Counts one work unit per alive flow whenever time moves. Returns
+    /// the smallest `remaining / rate` over the flows that did not
+    /// complete (infinity if none can), the quotient
+    /// [`Network::next_event_time`] needs while no rate changes.
+    fn integrate_to(&mut self, now: SimTime) -> f64 {
         assert!(now >= self.clock, "network clock cannot run backwards");
         let dt = now.since(self.clock).as_secs_f64();
         if dt > 0.0 {
             self.work_units += self.order.len() as u64;
         }
         self.completed_scratch.clear();
+        let mut best_q = f64::INFINITY;
         for &s in &self.order {
             let s = s as usize;
             if self.active[s] {
@@ -383,6 +429,11 @@ impl Network {
                 self.remaining[s] = rem;
                 if rem <= completion_eps(rate) {
                     self.completed_scratch.push(s as u32);
+                } else if rate > 0.0 {
+                    let q = rem / rate;
+                    if q < best_q {
+                        best_q = q;
+                    }
                 }
             }
         }
@@ -390,6 +441,7 @@ impl Network {
             ri.advance(now);
         }
         self.clock = now;
+        best_q
     }
 
     /// Start collecting dirty nodes for the next [`Network::resolve_rates`].
@@ -417,6 +469,9 @@ impl Network {
         // Every registered flow is frozen exactly once per solve, and each
         // changed rate is propagated back into the flow table.
         self.work_units += (self.solver.len() + self.solver.changed().len()) as u64;
+        if !self.solver.changed().is_empty() {
+            self.next_q = None;
+        }
         for i in 0..self.solver.changed().len() {
             let (user, rate) = self.solver.changed()[i];
             let s = user as usize;
@@ -781,5 +836,91 @@ mod tests {
         let t = n.now().as_secs_f64();
         let expect = 3.0 * 112.0 * 1024.0 * 1024.0 / 112e6;
         assert!((t - expect).abs() < 0.05, "t={t} expect={expect}");
+    }
+
+    /// Seeded churn on flat and racked fabrics: loopback (some of it
+    /// empty), latent and later-instant starts mixed with whole and
+    /// partial advances and idle runs. Every time the integration pass's
+    /// cached quotient answers `next_event_time`, it must equal a full
+    /// scan of the flow table — in release builds too, where the debug
+    /// check inside `next_event_time` is compiled out.
+    #[test]
+    fn cached_next_event_matches_full_scan_under_churn() {
+        use simcore::rng::SplitMix64;
+        for (seed, racked) in [(1u64, false), (2, true), (3, true)] {
+            let mut topo = Topology::single_switch(12, Interconnect::GigE10);
+            if racked {
+                topo = topo.with_racks(3, 4.0);
+            }
+            let mut n = Network::new(topo);
+            let mut rng = SplitMix64::new(0x5eed_ca5e + seed);
+            let mut now = SimTime::ZERO;
+            let mut done = Vec::new();
+            let (mut started, mut hits) = (0usize, 0usize);
+            for step in 0..3_000 {
+                let mut start = |n: &mut Network, now: SimTime, rng: &mut SplitMix64| {
+                    let src = rng.next_below(12) as usize;
+                    let dst = if rng.next_below(4) == 0 {
+                        src
+                    } else {
+                        rng.next_below(12) as usize
+                    };
+                    let bytes = if rng.next_below(10) == 0 {
+                        0
+                    } else {
+                        1 + rng.next_below(4 << 20)
+                    };
+                    let tag = started as u64;
+                    n.start_flow(
+                        now,
+                        NodeId(src),
+                        NodeId(dst),
+                        ByteSize::from_bytes(bytes),
+                        tag,
+                    );
+                    started += 1;
+                };
+                match rng.next_below(10) {
+                    0..=3 => start(&mut n, now, &mut rng),
+                    // A start at a later instant, with no advance first.
+                    4 => {
+                        now += SimDuration::from_nanos(1 + rng.next_below(2_000_000));
+                        if let Some(t) = n.next_event_time() {
+                            now = now.min(t);
+                        }
+                        start(&mut n, now, &mut rng);
+                    }
+                    // Partway to the next event.
+                    5 => {
+                        if let Some(t) = n.next_event_time() {
+                            let span = t.since(now).as_nanos();
+                            now += SimDuration::from_nanos(rng.next_below(span + 1));
+                        }
+                        n.advance_to_into(now, &mut done);
+                    }
+                    6 if rng.next_below(40) == 0 => {
+                        done.extend(n.run_to_idle());
+                        now = n.now();
+                    }
+                    _ => {
+                        if let Some(t) = n.next_event_time() {
+                            now = t;
+                        }
+                        n.advance_to_into(now, &mut done);
+                    }
+                }
+                if let Some(q) = n.next_q {
+                    assert_eq!(
+                        n.completion_after(q),
+                        n.scan_completion(),
+                        "seed {seed} step {step}"
+                    );
+                    hits += 1;
+                }
+            }
+            done.extend(n.run_to_idle());
+            assert_eq!(done.len(), started, "every flow completes once");
+            assert!(hits > 3_000 / 4, "seed {seed}: only {hits} cached answers");
+        }
     }
 }
